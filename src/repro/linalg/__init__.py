@@ -2,8 +2,9 @@
 
 This subpackage is the numeric substrate of the invariant generator: flow
 matrices are built as lists of :class:`SparseVector` rows and reduced with
-:func:`eliminate_columns` / :func:`rref`.  All arithmetic uses
-:class:`fractions.Fraction`, so results are exact.
+:func:`eliminate_columns` / :func:`rref`.  All arithmetic is exact:
+coefficients are ints unless truly non-integral, then
+:class:`fractions.Fraction` (see :mod:`repro.util.exact`).
 """
 
 from .matrix import eliminate_columns, rank, row_space_contains, rref

@@ -19,10 +19,10 @@ immediate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .vector import Rational, SparseVector
+from ..util.exact import Rational, exact_div
+from .vector import SparseVector
 
 __all__ = ["rref", "eliminate_columns", "row_space_contains", "rank"]
 
@@ -46,7 +46,10 @@ def _install_pivot(
     row: SparseVector, pivot_col: int, pivots: dict[int, SparseVector]
 ) -> None:
     """Normalise ``row`` on ``pivot_col`` and back-substitute into ``pivots``."""
-    row.scale_inplace(Fraction(1) / row[pivot_col])
+    pivot = row[pivot_col]
+    if pivot != 1:
+        # A ±1 pivot (the common case on flow matrices) needs no division.
+        row.scale_inplace(-1 if pivot == -1 else exact_div(1, pivot))
     for other in pivots.values():
         coeff = other[pivot_col]
         if coeff:
@@ -137,6 +140,6 @@ def rank(rows: Iterable[SparseVector]) -> int:
     return len(reduced)
 
 
-def evaluate(row: SparseVector, assignment: Mapping[int, Rational]) -> Fraction:
+def evaluate(row: SparseVector, assignment: Mapping[int, Rational]) -> Rational:
     """Evaluate a row as a linear form over ``assignment`` (missing = 0)."""
     return row.dot(assignment)

@@ -1,21 +1,22 @@
 """Sparse rational vectors.
 
-A :class:`SparseVector` maps integer column indices to non-zero
-:class:`~fractions.Fraction` coefficients.  It is the row representation used
-throughout the invariant-generation pipeline, where flow matrices are
-extremely sparse (a handful of non-zeros per equation over tens of thousands
-of columns).
+A :class:`SparseVector` maps integer column indices to non-zero exact
+rational coefficients.  It is the row representation used throughout the
+invariant-generation pipeline, where flow matrices are extremely sparse (a
+handful of non-zeros per equation over tens of thousands of columns).
 
-All arithmetic is exact; zeros are never stored.
+All arithmetic is exact; zeros are never stored.  Coefficients are kept in
+the canonical form of :mod:`repro.util.exact`: a plain ``int`` unless truly
+non-integral, never a ``Fraction`` of denominator 1, so the mostly-integral
+flow matrices are reduced on machine ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction | int
+from ..util.exact import Rational, exact, exact_div
 
 __all__ = ["SparseVector"]
 
@@ -31,10 +32,10 @@ class SparseVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Mapping[int, Rational] | None = None):
-        self.entries: dict[int, Fraction] = {}
+        self.entries: dict[int, Rational] = {}
         if entries:
             for col, value in entries.items():
-                value = Fraction(value)
+                value = exact(value)
                 if value:
                     self.entries[col] = value
 
@@ -44,7 +45,7 @@ class SparseVector:
     @classmethod
     def unit(cls, col: int) -> "SparseVector":
         """The standard basis vector with a 1 in position ``col``."""
-        return cls({col: Fraction(1)})
+        return cls({col: 1})
 
     def copy(self) -> "SparseVector":
         fresh = SparseVector()
@@ -60,17 +61,17 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[tuple[int, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[int, Rational]]:
         return iter(self.entries.items())
 
     def __contains__(self, col: int) -> bool:
         return col in self.entries
 
-    def __getitem__(self, col: int) -> Fraction:
-        return self.entries.get(col, Fraction(0))
+    def __getitem__(self, col: int) -> Rational:
+        return self.entries.get(col, 0)
 
-    def get(self, col: int, default: Rational = 0) -> Fraction:
-        return self.entries.get(col, Fraction(default))
+    def get(self, col: int, default: Rational = 0) -> Rational:
+        return self.entries.get(col, exact(default))
 
     def columns(self) -> Iterable[int]:
         return self.entries.keys()
@@ -95,60 +96,64 @@ class SparseVector:
     # Arithmetic (pure)
     # ------------------------------------------------------------------
     def scaled(self, factor: Rational) -> "SparseVector":
-        factor = Fraction(factor)
-        if not factor:
-            return SparseVector()
-        fresh = SparseVector()
-        fresh.entries = {c: v * factor for c, v in self.entries.items()}
+        fresh = self.copy()
+        fresh.scale_inplace(factor)
         return fresh
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         result = self.copy()
-        result.add_scaled_inplace(other, Fraction(1))
+        result.add_scaled_inplace(other, 1)
         return result
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         result = self.copy()
-        result.add_scaled_inplace(other, Fraction(-1))
+        result.add_scaled_inplace(other, -1)
         return result
 
     def __neg__(self) -> "SparseVector":
         return self.scaled(-1)
 
-    def dot(self, assignment: Mapping[int, Rational]) -> Fraction:
+    def dot(self, assignment: Mapping[int, Rational]) -> Rational:
         """Evaluate the linear form at ``assignment`` (missing columns = 0)."""
-        total = Fraction(0)
+        total = 0
         for col, coeff in self.entries.items():
             value = assignment.get(col)
             if value is not None:
-                total += coeff * Fraction(value)
-        return total
+                total += coeff * exact(value)
+        return exact(total)
 
     # ------------------------------------------------------------------
     # Arithmetic (in place, used by elimination kernels)
     # ------------------------------------------------------------------
     def add_scaled_inplace(self, other: "SparseVector", factor: Rational) -> None:
         """``self += factor * other`` without allocating a new vector."""
-        factor = Fraction(factor)
+        factor = exact(factor)
         if not factor:
             return
         entries = self.entries
         for col, value in other.entries.items():
-            updated = entries.get(col, Fraction(0)) + value * factor
+            updated = entries.get(col, 0) + value * factor
             if updated:
-                entries[col] = updated
+                entries[col] = updated if updated.__class__ is int else exact(updated)
             else:
                 entries.pop(col, None)
 
     def scale_inplace(self, factor: Rational) -> None:
-        factor = Fraction(factor)
+        factor = exact(factor)
         if factor == 1:
             return
+        entries = self.entries
         if not factor:
-            self.entries.clear()
+            entries.clear()
             return
-        for col in self.entries:
-            self.entries[col] *= factor
+        if factor.__class__ is int:
+            # int × int is an int; a non-integral Fraction × int may not be.
+            for col, value in entries.items():
+                scaled = value * factor
+                entries[col] = scaled if scaled.__class__ is int else exact(scaled)
+        else:
+            for col, value in entries.items():
+                entries[col] = exact(value * factor)
 
     # ------------------------------------------------------------------
     # Normalisation
@@ -170,8 +175,7 @@ class SparseVector:
         numerator_gcd = 0
         for value in self.entries.values():
             numerator_gcd = gcd(numerator_gcd, abs(value.numerator * (denominator_lcm // value.denominator)))
-        factor = Fraction(denominator_lcm, numerator_gcd)
-        result = self.scaled(factor)
+        result = self.scaled(exact_div(denominator_lcm, numerator_gcd))
         lead_col = min(result.entries)
         if result.entries[lead_col] < 0:
             result.scale_inplace(-1)

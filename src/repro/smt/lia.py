@@ -39,8 +39,8 @@ class LiaBridge:
         # Per-atom prebuilt assertion plans keyed by the *signed* literal:
         # assert_index is the solver's hottest theory path, so the bound
         # arithmetic happens once at registration, not per assertion.
-        # Bounds stay machine ints — the simplex promotes to Fraction only
-        # at pivots (see repro.smt.simplex).
+        # Bounds stay machine ints; the simplex keeps every value an int
+        # unless it is truly non-integral (see repro.smt.simplex).
         self._assert_plan: dict[int, tuple[bool, int, int]] = {}
         # SAT variables that carry a theory atom.  The CDCL core reads this
         # to skip pure-boolean trail literals without a call per literal.
@@ -143,14 +143,14 @@ class LiaBridge:
     def rational_value(self, var: IntVar) -> Fraction | int:
         column = self._var_of_int.get(var)
         if column is None:
-            return Fraction(0)
+            return 0
         return self.simplex.value(column)
 
     def fractional_var(self) -> tuple[IntVar, Fraction] | None:
         """An integer problem variable with a non-integral simplex value.
 
-        int values have ``.denominator == 1``, so the integral states the
-        simplex keeps as machine ints are filtered here for free.
+        The simplex stores integral values as machine ints (``.denominator
+        == 1``), so they are filtered here without touching a ``Fraction``.
         """
         for var, column in self._var_of_int.items():
             value = self.simplex.value(column)

@@ -7,20 +7,26 @@ linear definitions relates *basic* to *non-basic* variables, and
 :meth:`Simplex.check` restores feasibility by Bland-rule pivoting or reports
 a minimal-ish conflict (the bounds of one infeasible row).
 
-All arithmetic is exact.  Values are plain machine ints for as long as the
-state is integral — Python ints and :class:`fractions.Fraction` interoperate
-exactly, and only division can leave the integers, so the two pivot helpers
-are the sole promotion points.  On the integral workloads the engine
-generates this keeps the hot bound-assertion path on C-int comparisons
-instead of ``Fraction.__richcmp__``.  Bound retraction is O(1) per change
-via an undo trail; pivots are never undone (the tableau is a basis change,
-not a logical state).
+All arithmetic is exact.  Every stored value — tableau coefficients and
+assignment values β — is kept in the canonical form of
+:mod:`repro.util.exact`: a plain machine ``int`` unless it is truly
+non-integral, and never a ``Fraction`` of denominator 1.  Python ints and
+:class:`fractions.Fraction` interoperate exactly, so the form changes no
+result; it keeps the hot bound-assertion path on C-int comparisons instead
+of ``Fraction.__richcmp__``.  Only division leaves the integers: a ±1 pivot
+(the common case on the encodings the engine generates) divides without
+building a ``Fraction``, and every update that can produce a ``Fraction``
+demotes an integral result back to ``int``.  Bound retraction is O(1) per
+change via an undo trail; pivots are never undone (the tableau is a basis
+change, not a logical state).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping
+
+from ..util.exact import exact, exact_div
 
 __all__ = ["Simplex", "Conflict"]
 
@@ -58,6 +64,8 @@ class Simplex:
         self._undo: list[tuple[int, str, Fraction | int | None, int | None]] = []
         # Basic variables whose β may violate a bound (lazily validated).
         self._dirty: set[int] = set()
+        # Pivots performed so far (a deterministic work counter).
+        self.pivots = 0
 
     # ------------------------------------------------------------------
     # Variable and row registration
@@ -91,8 +99,8 @@ class Simplex:
         self._rows[slack] = row
         for var in row:
             self._cols.setdefault(var, set()).add(slack)
-        self._beta[slack] = sum(
-            (coeff * self._beta[var] for var, coeff in row.items()), 0
+        self._beta[slack] = exact(
+            sum((coeff * self._beta[var] for var, coeff in row.items()), 0)
         )
         return slack
 
@@ -100,7 +108,7 @@ class Simplex:
     def _row_add(row: dict[int, Fraction | int], var: int, coeff: Fraction | int) -> None:
         updated = row.get(var, 0) + coeff
         if updated:
-            row[var] = updated
+            row[var] = updated if updated.__class__ is int else exact(updated)
         else:
             row.pop(var, None)
 
@@ -157,10 +165,14 @@ class Simplex:
         return None
 
     def _update_nonbasic(self, var: int, value: Fraction | int) -> None:
-        delta = value - self._beta[var]
-        self._beta[var] = value
+        beta = self._beta
+        if value.__class__ is not int:
+            value = exact(value)
+        delta = value - beta[var]
+        beta[var] = value
         for basic in self._cols.get(var, ()):
-            self._beta[basic] += self._rows[basic][var] * delta
+            updated = beta[basic] + self._rows[basic][var] * delta
+            beta[basic] = updated if updated.__class__ is int else exact(updated)
             self._dirty.add(basic)
 
     # ------------------------------------------------------------------
@@ -250,15 +262,14 @@ class Simplex:
         self._pivot_and_update(basic, candidate, target)
 
     def _pivot_and_update(self, basic: int, entering: int, value: Fraction | int) -> None:
-        coeff = self._rows[basic][entering]
-        # Promotion point: division must stay exact, so wrap both sides
-        # (int / int would fall to float).
-        theta = Fraction(value - self._beta[basic]) / Fraction(coeff)
-        self._beta[basic] = value
-        self._beta[entering] += theta
+        beta = self._beta
+        theta = exact_div(value - beta[basic], self._rows[basic][entering])
+        beta[basic] = exact(value)
+        beta[entering] = exact(beta[entering] + theta)
         for other in self._cols.get(entering, ()):
             if other != basic:
-                self._beta[other] += self._rows[other][entering] * theta
+                updated = beta[other] + self._rows[other][entering] * theta
+                beta[other] = updated if updated.__class__ is int else exact(updated)
                 self._dirty.add(other)
         self._pivot(basic, entering)
         # The entering variable is basic now and may overshoot its own
@@ -266,32 +277,47 @@ class Simplex:
         self._dirty.add(entering)
 
     def _pivot(self, leaving: int, entering: int) -> None:
+        self.pivots += 1
         row = self._rows.pop(leaving)
         for var in row:
             self._cols[var].discard(leaving)
         coeff = row.pop(entering)
-        # Promotion point: the only other division (see _pivot_and_update).
-        inv = Fraction(1) / Fraction(coeff)
-        new_row = {leaving: inv}
-        for var, c in row.items():
-            new_row[var] = -c * inv
+        if coeff == 1 or coeff == -1:
+            # ±1 pivot: the coefficient is its own inverse and every product
+            # stays canonical (int × ±1 is an int, a non-integral Fraction
+            # × ±1 stays non-integral), so nothing is divided or demoted.
+            new_row = {leaving: coeff}
+            for var, c in row.items():
+                new_row[var] = -c * coeff
+        else:
+            inv = exact_div(1, coeff)
+            new_row = {leaving: inv}
+            for var, c in row.items():
+                new_row[var] = exact(-c * inv)
         self._rows[entering] = new_row
+        cols = self._cols
         for var in new_row:
-            self._cols.setdefault(var, set()).add(entering)
-        # Substitute the entering variable out of every other row.
-        users = self._cols.pop(entering, set())
+            cols.setdefault(var, set()).add(entering)
+        # Substitute the entering variable out of every other row (the
+        # _row_add update, inlined: this is the simplex's hottest loop).
+        users = cols.pop(entering, set())
         users.discard(entering)
         for user in users:
             user_row = self._rows[user]
             factor = user_row.pop(entering)
             for var, c in new_row.items():
-                before = var in user_row
-                self._row_add(user_row, var, factor * c)
-                after = var in user_row
-                if after and not before:
-                    self._cols.setdefault(var, set()).add(user)
-                elif before and not after:
-                    self._cols[var].discard(user)
+                old = user_row.get(var)
+                if old is None:
+                    updated = factor * c  # both non-zero
+                    user_row[var] = updated if updated.__class__ is int else exact(updated)
+                    cols[var].add(user)
+                    continue
+                updated = old + factor * c
+                if updated:
+                    user_row[var] = updated if updated.__class__ is int else exact(updated)
+                else:
+                    del user_row[var]
+                    cols[var].discard(user)
 
     # ------------------------------------------------------------------
     # Model access

@@ -345,12 +345,14 @@ class Solver:
             # the full canonical key set so per-query deltas stay uniform.
             self.stats = {key: 0 for key in self._sat.stats}
             self.stats["splits"] = 0
+            self.stats["pivots"] = 0
             self.profile = {key: 0 for key in self._sat.profile()}
             self._core = []
             self._formula_unsat = True
             return Result.UNSAT
         assumption_lits = [self._cnf.literal(term) for term in assumptions]
         before = dict(self._sat.stats)
+        before["pivots"] = self._bridge.simplex.pivots
         before_profile = self._sat.profile()
         self._sync()
         solve_assumptions = [*self._scopes, *assumption_lits]
@@ -409,6 +411,7 @@ class Solver:
             key: value - before.get(key, 0) for key, value in self._sat.stats.items()
         }
         self.stats["splits"] = splits
+        self.stats["pivots"] = self._bridge.simplex.pivots - before["pivots"]
         self.profile = {
             key: value - before_profile.get(key, 0)
             for key, value in self._sat.profile().items()

@@ -27,10 +27,18 @@ rows_strategy = st.lists(
 )
 
 
+def assert_canonical(rows):
+    """No stored coefficient is an integral Fraction (ints stay ints)."""
+    for row in rows:
+        for _, value in row:
+            assert type(value) is int or value.denominator != 1, row
+
+
 @given(rows_strategy)
 def test_rref_is_idempotent(rows):
     once, pivots_once = rref(rows)
     twice, pivots_twice = rref(once)
+    assert_canonical(once)
     assert once == twice
     assert pivots_once == pivots_twice
 
@@ -63,7 +71,9 @@ def test_rank_bounded(rows):
 
 @given(rows_strategy, st.sets(st.integers(min_value=0, max_value=N_COLS - 1), max_size=3))
 def test_eliminated_columns_are_absent(rows, eliminate):
-    for row in eliminate_columns(rows, eliminate):
+    survivors = eliminate_columns(rows, eliminate)
+    assert_canonical(survivors)
+    for row in survivors:
         assert not (row.support() & eliminate)
 
 
@@ -98,6 +108,7 @@ def test_normalized_rows_evaluate_identically(rows):
         if not row:
             continue
         norm = row.normalized_integer()
+        assert all(type(value) is int for _, value in norm)
         lhs = row.dot(assignment)
         rhs = norm.dot(assignment)
         # They are scalar multiples: zero sets must agree.

@@ -121,7 +121,8 @@ def test_repr_is_sorted_and_stable():
 def test_getitem_missing_is_zero_fraction():
     value = SparseVector()[42]
     assert value == 0
-    assert isinstance(value, Fraction)
+    # Canonical exact form: integral values are ints, never Fraction(0).
+    assert type(value) is int
 
 
 def test_contains():

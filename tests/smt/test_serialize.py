@@ -180,6 +180,8 @@ CANONICAL_STAT_KEYS = {
     "reduced",
     "kept_glue",
     "splits",
+    # Simplex pivots (the theory layer's work counter).
+    "pivots",
     # Cooperative-slicing counters (portfolio racing): covered by the same
     # zeroing contract — an early-UNSAT check() must report zeros for them.
     "conflict_limit_hits",

@@ -33,6 +33,18 @@ def _dot(coeffs, vals):
     return sum(c * v for c, v in zip(coeffs, vals))
 
 
+def assert_canonical_tableau(solver):
+    """No simplex row coefficient or β value is an integral Fraction."""
+    simplex = solver._bridge.simplex
+
+    def canonical(value):
+        return type(value) is int or value.denominator != 1
+
+    for basic, row in simplex._rows.items():
+        assert all(canonical(coeff) for coeff in row.values()), (basic, row)
+    assert all(canonical(value) for value in simplex._beta), simplex._beta
+
+
 atom_specs = st.tuples(
     st.tuples(*[st.integers(min_value=-2, max_value=2) for _ in range(N_VARS)]),
     st.integers(min_value=-4, max_value=8),
@@ -59,6 +71,7 @@ def test_conjunction_matches_enumeration(specs):
         for point in product(DOMAIN, repeat=N_VARS)
     )
     verdict = solver.check()
+    assert_canonical_tableau(solver)
     assert verdict == (Result.SAT if expected else Result.UNSAT)
     if verdict == Result.SAT:
         model = solver.model()
@@ -92,6 +105,7 @@ def test_disjunction_matches_enumeration(specs):
 
     expected = any(point_ok(p) for p in product(DOMAIN, repeat=N_VARS))
     verdict = solver.check()
+    assert_canonical_tableau(solver)
     assert verdict == (Result.SAT if expected else Result.UNSAT)
 
 
@@ -117,4 +131,5 @@ def test_negation_matches_enumeration(specs):
         all(ev(p) for ev in evaluators) for p in product(DOMAIN, repeat=N_VARS)
     )
     verdict = solver.check()
+    assert_canonical_tableau(solver)
     assert verdict == (Result.SAT if expected else Result.UNSAT)
