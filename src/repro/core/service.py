@@ -371,7 +371,10 @@ class VerificationService:
         self._pending = 0
         self._solve_sem = asyncio.Semaphore(max(1, self.jobs))
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        # Open connections: writer -> its handler task, which aclose()
+        # awaits (a handler left pending is cancelled at loop teardown,
+        # and asyncio logs the CancelledError).
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._shutdown = asyncio.Event()
         self._closed = False
         self.counters = {
@@ -844,7 +847,7 @@ class VerificationService:
     ) -> None:
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
 
         async def _serve_one(request: dict) -> None:
             response = await self.handle_request(request)
@@ -870,12 +873,14 @@ class VerificationService:
         finally:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
-            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            # Deregister last, so aclose() also awaits a handler that is
+            # still closing its stream.
+            self._connections.pop(writer, None)
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0):
         """Start listening; returns the asyncio server (``self.port``
@@ -910,11 +915,15 @@ class VerificationService:
         self._shutdown.set()
         # Unblock connection handlers parked on a read before waiting on
         # the server: 3.12's wait_closed() waits for every handler.
+        handlers = list(self._connections.values())
         for writer in list(self._connections):
             writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        # Let every handler see its closed stream and finish its pending
+        # requests (3.11's wait_closed() does not wait for them).
+        await asyncio.gather(*handlers, return_exceptions=True)
         self.hot.close_all()
         pool, self._pool = self._pool, None
         if pool is not None:

@@ -11,6 +11,17 @@ Connects the CDCL core (:mod:`repro.smt.sat`) to the exact simplex
   (forms differing only by sign share the slack);
 * a positive literal asserts the atom's ``≤`` bound, a negative literal the
   integer-negated ``≥`` bound;
+* *bound axioms* (Dutertre & de Moura, CAV 2006) tell the SAT core how the
+  atoms on one column are ordered: every atom literal reads ``column ≤ k``
+  (or its integer negation ``¬(column ≤ k−1)``), registration keeps one
+  ``k``-sorted chain of those literals per column, and each new atom emits
+  binary clauses to its chain neighbours (``column ≤ k₁`` implies
+  ``column ≤ k₂`` for ``k₁ ≤ k₂``; equal ``k`` gives an equivalence).  CDCL
+  then propagates same-column implications instead of deciding them and
+  having the simplex refute the clashes one conflict at a time.  Emission
+  is incremental, so atoms registered later slot into existing chains;
+  :class:`repro.smt.solver.Solver` drains :attr:`LiaBridge.pending_axioms`
+  into the CDCL core after each sync's clauses;
 * rational feasibility is enforced incrementally along the SAT trail, and
   integrality of the problem variables is obtained by branch-and-bound
   splitting, driven by :class:`repro.smt.solver.Solver`.
@@ -18,6 +29,7 @@ Connects the CDCL core (:mod:`repro.smt.sat`) to the exact simplex
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .simplex import Simplex
@@ -50,6 +62,11 @@ class LiaBridge:
         # asserted.  Non-atom trail positions never touch the simplex, so
         # they need no mark.
         self._asserted: list[tuple[int, int]] = []
+        # Bound-axiom chains: column -> sorted (k, literal) pairs where the
+        # literal reads "column <= k".  New axioms wait in pending_axioms
+        # until the solver hands them to the CDCL core.
+        self._chains: dict[int, list[tuple[int, int]]] = {}
+        self.pending_axioms: list[list[int]] = []
 
     # ------------------------------------------------------------------
     # Registration
@@ -93,9 +110,32 @@ class LiaBridge:
         if sign > 0:
             self._assert_plan[satvar] = (True, column, bound)
             self._assert_plan[-satvar] = (False, column, bound + 1)
+            self._chain_axioms(column, bound, satvar)
         else:
             self._assert_plan[satvar] = (False, column, -bound)
             self._assert_plan[-satvar] = (True, column, -bound - 1)
+            self._chain_axioms(column, -bound - 1, -satvar)
+
+    def _chain_axioms(self, column: int, k: int, lit: int) -> None:
+        """Slot ``lit`` (reading ``column ≤ k``) into its column's chain.
+
+        Clauses to the two neighbours suffice: the chain's implications
+        are transitive, so the closure covers every pair on the column.
+        """
+        chain = self._chains.setdefault(column, [])
+        at = bisect_left(chain, (k, lit))
+        axioms = self.pending_axioms
+        if at:
+            k_pred, pred = chain[at - 1]
+            axioms.append([-pred, lit])
+            if k_pred == k:
+                axioms.append([-lit, pred])
+        if at < len(chain):
+            k_succ, succ = chain[at]
+            axioms.append([-lit, succ])
+            if k_succ == k:
+                axioms.append([-succ, lit])
+        chain.insert(at, (k, lit))
 
     def has_atom(self, satvar: int) -> bool:
         return satvar in self._atom_info

@@ -19,6 +19,12 @@ building a ``Fraction``, and every update that can produce a ``Fraction``
 demotes an integral result back to ``int``.  Bound retraction is O(1) per
 change via an undo trail; pivots are never undone (the tableau is a basis
 change, not a logical state).
+
+The immediate two-bound conflict of :meth:`Simplex.assert_upper` /
+:meth:`Simplex.assert_lower` (a new bound crossing the opposite bound on
+the same variable) is a safety net: the theory bridge's bound axioms
+(:mod:`repro.smt.lia`) let the SAT core propagate every such implication
+between registered atoms before the simplex sees the clash.
 """
 
 from __future__ import annotations

@@ -148,6 +148,7 @@ class Solver:
         self._sat = Cdcl(theory=self._bridge, **self._reduction_knobs)
         self._flushed_clauses = 0
         self._registered_atoms = 0
+        self._axioms = 0  # bound-axiom clauses handed to the core so far
         self._scopes: list[int] = []  # selector SAT variables, innermost last
         self._model: Model | None = None
         self._core: list[Term] | None = None
@@ -315,6 +316,14 @@ class Solver:
         for clause in cnf.clauses[self._flushed_clauses:]:
             self._sat.add_clause(clause)
         self._flushed_clauses = len(cnf.clauses)
+        # Bound axioms of the atoms registered above: problem clauses of the
+        # core, never part of the CNF image (snapshots, content hashes), so
+        # a restored or forked solver re-derives them on its first sync.
+        axioms = self._bridge.pending_axioms
+        for axiom in axioms:
+            self._sat.add_clause(axiom)
+        self._axioms += len(axioms)
+        axioms.clear()
 
     def check(
         self,
@@ -346,6 +355,7 @@ class Solver:
             self.stats = {key: 0 for key in self._sat.stats}
             self.stats["splits"] = 0
             self.stats["pivots"] = 0
+            self.stats["axioms"] = 0
             self.profile = {key: 0 for key in self._sat.profile()}
             self._core = []
             self._formula_unsat = True
@@ -353,6 +363,7 @@ class Solver:
         assumption_lits = [self._cnf.literal(term) for term in assumptions]
         before = dict(self._sat.stats)
         before["pivots"] = self._bridge.simplex.pivots
+        before["axioms"] = self._axioms
         before_profile = self._sat.profile()
         self._sync()
         solve_assumptions = [*self._scopes, *assumption_lits]
@@ -412,6 +423,7 @@ class Solver:
         }
         self.stats["splits"] = splits
         self.stats["pivots"] = self._bridge.simplex.pivots - before["pivots"]
+        self.stats["axioms"] = self._axioms - before["axioms"]
         self.profile = {
             key: value - before_profile.get(key, 0)
             for key, value in self._sat.profile().items()

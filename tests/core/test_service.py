@@ -23,6 +23,7 @@ children/eviction are the point, the thread backend everywhere else.
 """
 
 import asyncio
+import logging
 import multiprocessing
 import time
 
@@ -378,3 +379,35 @@ def test_tcp_round_trip_with_both_clients(tmp_path):
         await client.aclose()
 
     run_service(scenario, cache_dir=str(tmp_path))
+
+
+def test_shutdown_with_open_client_logs_no_traceback(tmp_path, caplog):
+    """aclose() awaits its connection handlers.  A handler still parked on
+    a read of an open connection would otherwise be cancelled at loop
+    teardown, and asyncio would log its CancelledError traceback."""
+    client_box = []
+
+    async def scenario(service):
+        await service.serve()
+        port = service.port
+
+        def connect_and_stop():
+            client = ServiceClient("127.0.0.1", port)
+            client_box.append(client)
+            assert client.request("ping")["pong"]
+            assert client.request("shutdown")["stopping"]
+
+        await asyncio.to_thread(connect_and_stop)
+        await service._shutdown.wait()
+
+    caplog.set_level(logging.DEBUG, logger="asyncio")
+    try:
+        run_service(scenario, cache_dir=str(tmp_path))  # client still open
+    finally:
+        for client in client_box:
+            client.close()
+    assert client_box
+    logged = [r for r in caplog.records if r.name == "asyncio"]
+    assert not any(r.exc_info or r.levelno >= logging.ERROR for r in logged), [
+        r.getMessage() for r in logged
+    ]

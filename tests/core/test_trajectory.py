@@ -45,8 +45,8 @@ PROBES = {"1": False, "2": False, "3": True, "4": True}
     "hash_seed, counters",
     [
         # (conflicts, decisions, propagations, pivots)
-        (0, [205, 4903, 40552, 301]),
-        (5, [269, 4717, 49198, 352]),
+        (0, [200, 1959, 27358, 281]),
+        (5, [276, 2191, 33068, 413]),
     ],
 )
 def test_abstract_mi_2x2_search_trajectory_is_pinned(hash_seed, counters):

@@ -182,6 +182,8 @@ CANONICAL_STAT_KEYS = {
     "splits",
     # Simplex pivots (the theory layer's work counter).
     "pivots",
+    # Bound-axiom clauses handed to the CDCL core by this check.
+    "axioms",
     # Cooperative-slicing counters (portfolio racing): covered by the same
     # zeroing contract — an early-UNSAT check() must report zeros for them.
     "conflict_limit_hits",
