@@ -46,12 +46,7 @@ from .cache import (
 )
 from .colors import ColorDerivationError, ColorMap, derive_colors
 from .deadlock import DeadlockCase, DeadlockEncoding, encode_deadlock
-from .engine import (
-    SessionSnapshot,
-    SessionSpec,
-    VerificationSession,
-    escalate_partial,
-)
+from .engine import SessionSnapshot, SessionSpec, VerificationSession
 from .experiments import (
     Experiment,
     ExperimentResult,
@@ -62,16 +57,7 @@ from .experiments import (
     resolve_builder,
     run_scenario,
 )
-from .invariants import (
-    DEFAULT_RANK_BUDGET,
-    DEFAULT_RANK_GROWTH,
-    InvariantSelector,
-    build_flow_rows,
-    encode_invariant_rows,
-    generate_invariants,
-    invariant_features,
-    rank_invariants,
-)
+from .invariants import build_flow_rows, generate_invariants
 from .parallel import (
     ParallelVerificationSession,
     WorkerSession,
@@ -81,12 +67,6 @@ from .parallel import (
     scenario_executor,
     shutdown_scenario_executors,
 )
-from .portfolio import (
-    PortfolioSession,
-    StrategyConfig,
-    default_strategies,
-    racer_budget,
-)
 from .proof import enumerate_witnesses, verify
 from .resilience import (
     Deadline,
@@ -94,9 +74,6 @@ from .resilience import (
     FaultSpec,
     InjectedFault,
     RetryPolicy,
-    WorkerCrashError,
-    WorkerFault,
-    WorkerHangError,
     active_fault_plan,
     install_fault_plan,
 )
@@ -117,10 +94,6 @@ __all__ = [
     "VerificationSession",
     "ParallelVerificationSession",
     "WorkerSession",
-    "PortfolioSession",
-    "StrategyConfig",
-    "default_strategies",
-    "racer_budget",
     "Experiment",
     "ExperimentResult",
     "ScenarioSpec",
@@ -153,21 +126,11 @@ __all__ = [
     "VarPool",
     "color_label",
     "build_flow_rows",
-    "InvariantSelector",
-    "invariant_features",
-    "rank_invariants",
-    "encode_invariant_rows",
-    "escalate_partial",
-    "DEFAULT_RANK_BUDGET",
-    "DEFAULT_RANK_GROWTH",
     "Deadline",
     "RetryPolicy",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "WorkerFault",
-    "WorkerCrashError",
-    "WorkerHangError",
     "active_fault_plan",
     "install_fault_plan",
     "LruSessionCache",

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterator, Mapping
 
 from ..smt import (
     IntVar,
@@ -68,12 +68,7 @@ from ..xmas import Network, Queue, Source
 from .cache import stable_hash
 from .colors import derive_colors
 from .deadlock import DeadlockCase, encode_deadlock
-from .invariants import (
-    InvariantSelector,
-    encode_invariant_rows,
-    generate_invariants,
-    rank_invariants,
-)
+from .invariants import generate_invariants
 from .resilience import Deadline
 from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
 from .vars import VarPool
@@ -82,7 +77,6 @@ __all__ = [
     "SessionSpec",
     "SessionSnapshot",
     "VerificationSession",
-    "escalate_partial",
 ]
 
 Color = Hashable
@@ -142,11 +136,6 @@ class SessionSnapshot:
     # How many invariants are baked into the solver image — reporting
     # metadata for consumers that only hold the snapshot.
     invariant_count: int
-    # Ranked invariant rows *not* baked into the solver image, as plain
-    # data (static rank order) — a rehydrated worker escalates through
-    # them locally in partial mode (see repro.core.invariants).  Empty
-    # unless the snapshot was taken for partial-invariant orchestration.
-    pending_invariant_rows: tuple = ()
 
     def content_hash(self) -> str:
         """Stable SHA-256 identity of the canonical encoding image.
@@ -158,10 +147,9 @@ class SessionSnapshot:
         deadlock encoding carries a deterministic name — guards, pool
         occupancies, ``cap[q]`` capacities).  Scheduling state is
         excluded — learned clauses, saved phases, the clause-reduction
-        policy and its knobs, the split budget and pending invariant
-        rows steer the *search*, never the encoded formula — so warm or
-        differently tuned variants of one encoding share a cache
-        identity.  A false identity collision would be a wrong cached
+        policy and its knobs and the split budget steer the *search*,
+        never the encoded formula — so warm or differently tuned variants
+        of one encoding share a cache identity.  A false identity collision would be a wrong cached
         verdict, which is why the service layer keys its verdict store
         on this hash.
         """
@@ -204,10 +192,10 @@ class SessionSnapshot:
 class SessionSpec:
     """The build phase: network → colors → encoding (→ invariants), once.
 
-    A spec is immutable except for lazy invariant generation and carries
-    no solver; any number of :class:`VerificationSession` (or parallel
-    worker sessions, via :meth:`snapshot`) can be opened over one spec
-    without re-deriving anything.
+    A spec is immutable except for on-demand invariant generation and
+    carries no solver; any number of :class:`VerificationSession` (or
+    parallel worker sessions, via :meth:`snapshot`) can be opened over one
+    spec without re-deriving anything.
 
     Parameters
     ----------
@@ -249,7 +237,6 @@ class SessionSpec:
             else {}
         )
         self._invariants: list[Invariant] | None = None
-        self._ranked: list[Invariant] | None = None
         with watch.phase("deadlock encoding"):
             self.encoding = encode_deadlock(
                 network,
@@ -292,65 +279,19 @@ class SessionSpec:
     # ------------------------------------------------------------------
     @property
     def invariants(self) -> list[Invariant] | None:
-        """The invariants *meant to be conjoined eagerly*, or ``None``.
-
-        Stays ``None`` after :meth:`ranked_invariants` alone: ranked
-        generation is derived data for partial-mode selection and must
-        not mark the shared spec as strengthened (sessions and pools
-        treat a non-``None`` value as "conjoin on load").
-        """
+        """The generated invariants, or ``None`` before generation
+        (sessions and pools treat a non-``None`` value as "conjoin on
+        load")."""
         return None if self._invariants is None else list(self._invariants)
-
-    def _generate_all(self, watch: Stopwatch) -> list[Invariant]:
-        with watch.phase("invariant generation"):
-            return generate_invariants(self.network, self.colors, self.pool)
 
     def generate_invariants(self, watch: Stopwatch | None = None) -> list[Invariant]:
         """Derive the cross-layer invariants (idempotent)."""
         if self._invariants is None:
-            self._invariants = (
-                self._ranked
-                if self._ranked is not None
-                else self._generate_all(watch or Stopwatch())
-            )
+            with (watch or Stopwatch()).phase("invariant generation"):
+                self._invariants = generate_invariants(
+                    self.network, self.colors, self.pool
+                )
         return list(self._invariants)
-
-    def ranked_invariants(
-        self, watch: Stopwatch | None = None
-    ) -> list[Invariant]:
-        """The full invariant set in static rank order (idempotent).
-
-        Shares the elimination work with :meth:`generate_invariants` but
-        does *not* flip the spec into the eagerly-strengthened state —
-        partial-mode sessions select from this list row by row.
-        """
-        if self._ranked is None:
-            base = (
-                self._invariants
-                if self._invariants is not None
-                else self._generate_all(watch or Stopwatch())
-            )
-            self._ranked = rank_invariants(base)
-        return list(self._ranked)
-
-    def invariant_selector(
-        self,
-        rank_budget: int | None = None,
-        rank_growth: int | None = None,
-        watch: Stopwatch | None = None,
-    ) -> InvariantSelector:
-        """A fresh CEGAR escalation state over :meth:`ranked_invariants`.
-
-        One selector per solver: it tracks which rows that solver has
-        already conjoined.  Pair its batches with
-        :meth:`VerificationSession.conjoin_invariants` via
-        :func:`escalate_partial`.
-        """
-        return InvariantSelector(
-            encode_invariant_rows(self.ranked_invariants(watch=watch)),
-            rank_budget=rank_budget,
-            rank_growth=rank_growth,
-        )
 
     # ------------------------------------------------------------------
     def base_terms(self) -> Iterator[Term]:
@@ -403,7 +344,6 @@ class SessionSpec:
         self,
         max_splits: int = 100_000,
         reduction_opts: Mapping | None = None,
-        include_pending_invariants: bool = False,
     ) -> SessionSnapshot:
         """Flatten the built encoding into a :class:`SessionSnapshot`.
 
@@ -414,28 +354,17 @@ class SessionSpec:
         :meth:`VerificationSession.snapshot` to capture a live session's
         learned clauses and phases along with it.  ``reduction_opts``
         bakes lifecycle knobs into the snapshot so rehydrated workers run
-        the tuned policy.  ``include_pending_invariants`` additionally
-        ships the ranked rows *not* asserted in the image (the full
-        ranked set unless this spec was strengthened eagerly) for
-        worker-side partial escalation.
+        the tuned policy.
         """
-        pending: tuple = ()
-        if include_pending_invariants and self._invariants is None:
-            pending = encode_invariant_rows(self.ranked_invariants())
         return self.wrap_solver_snapshot(
             snapshot_solver(
                 self.load_solver(max_splits, reduction_opts=reduction_opts)
-            ),
-            pending_invariant_rows=pending,
+            )
         )
 
-    def wrap_solver_snapshot(
-        self, solver_snapshot, pending_invariant_rows: tuple = ()
-    ) -> SessionSnapshot:
+    def wrap_solver_snapshot(self, solver_snapshot) -> SessionSnapshot:
         """Bundle an already-captured solver image with this spec's guard
-        tables, witness recipe and size defaults.
-        ``pending_invariant_rows`` ships plain-data invariant rows *not*
-        asserted in the image, for worker-side partial escalation."""
+        tables, witness recipe and size defaults."""
         witness_ints, witness_bools = self._witness_recipe()
         return SessionSnapshot(
             solver=solver_snapshot,
@@ -451,7 +380,6 @@ class SessionSpec:
             default_sizes=tuple(self.initial_sizes.items()),
             parametric=self.parametric,
             invariant_count=len(self._invariants or ()),
-            pending_invariant_rows=tuple(pending_invariant_rows),
         )
 
 
@@ -521,7 +449,6 @@ class VerificationSession:
         self._guard_labels[self.encoding.any_guard.uid] = ANY_CASE_LABEL
         self._invariants: list[Invariant] = []
         self._invariants_added = False
-        self._var_by_uid: dict[int, IntVar] | None = None
         self._witness_bool_names: tuple[str, ...] | None = None
         self._last_witness_bools: dict[str, bool] | None = None
         with self.watch.phase("smt solving"):
@@ -557,57 +484,24 @@ class VerificationSession:
 
         Invariants hold in every reachable configuration, so adding them is
         a permanent, sound strengthening — there is nothing to retract.
-        Rows already conjoined partially (:meth:`conjoin_invariants`) are
-        not re-asserted.
+        Duplicate rows are asserted once.
         """
         if not self._invariants_added:
-            self.conjoin_invariants(
-                self.spec.generate_invariants(watch=self.watch)
-            )
+            invariants = self.spec.generate_invariants(watch=self.watch)
+            held = set(self._invariants)
+            with self.watch.phase("smt solving"):
+                for invariant in invariants:
+                    if invariant in held:
+                        continue
+                    self.solver.add_global(invariant.term())
+                    self._invariants.append(invariant)
+                    held.add(invariant)
             self._invariants_added = True
         return list(self._invariants)
-
-    def conjoin_invariants(self, invariants: Iterable[Invariant]) -> int:
-        """Permanently conjoin *specific* invariant rows (partial mode).
-
-        Each row is a sound strengthening on its own, so any subset may be
-        asserted in any order; rows this session already holds are skipped.
-        Returns the number of newly asserted rows.  Does not mark the full
-        set as loaded — a later :meth:`add_invariants` tops up to it.
-        """
-        held = set(self._invariants)
-        added = 0
-        with self.watch.phase("smt solving"):
-            for invariant in invariants:
-                if invariant in held:
-                    continue
-                self.solver.add_global(invariant.term())
-                self._invariants.append(invariant)
-                held.add(invariant)
-                added += 1
-        return added
 
     @property
     def invariants(self) -> list[Invariant]:
         return list(self._invariants)
-
-    def invariant_value_of(self) -> "Callable[[int], int]":
-        """``uid → model value`` over the pool's state/occupancy variables.
-
-        Valid after a SAT query; this is what
-        :meth:`~repro.core.invariants.InvariantSelector.next_batch`
-        evaluates candidate rows against.
-        """
-        if self._var_by_uid is None:
-            self._var_by_uid = {
-                var.uid: var for _, var in self.pool.state_items()
-            }
-            self._var_by_uid.update(
-                (var.uid, var) for _, var in self.pool.occupancy_items()
-            )
-        model = self.solver.model()
-        lookup = self._var_by_uid
-        return lambda uid: int(model[lookup[uid]])
 
     def resize_queues(self, sizes: int | Mapping[str, int]) -> None:
         """Re-target later queries at different queue capacities.
@@ -632,7 +526,6 @@ class VerificationSession:
         include_learned: bool = True,
         learned_cap: int = 4000,
         max_lbd: int | None = None,
-        include_pending_invariants: bool = False,
     ) -> SessionSnapshot:
         """A :class:`SessionSnapshot` of this *live* session.
 
@@ -641,31 +534,14 @@ class VerificationSession:
         default, its learned-clause tail and saved phases — so workers
         rehydrated from it answer their first query without re-deriving
         what this session already learned.
-
-        ``include_pending_invariants`` additionally ships the ranked
-        invariant rows this session has *not* conjoined, so rehydrated
-        workers can escalate through them locally (partial mode).
         """
-        pending: tuple = ()
-        if include_pending_invariants:
-            held = set(self._invariants)
-            pending = encode_invariant_rows(
-                [
-                    invariant
-                    for invariant in self.spec.ranked_invariants(
-                        watch=self.watch
-                    )
-                    if invariant not in held
-                ]
-            )
         return self.spec.wrap_solver_snapshot(
             snapshot_solver(
                 self.solver,
                 include_learned=include_learned,
                 learned_cap=learned_cap,
                 max_lbd=max_lbd,
-            ),
-            pending_invariant_rows=pending,
+            )
         )
 
     def compact(self) -> int:
@@ -892,45 +768,3 @@ class VerificationSession:
             "durations": dict(self.watch.durations),
         }
 
-
-def escalate_partial(
-    session: VerificationSession,
-    selector: InvariantSelector,
-    ranked: list[Invariant],
-    result: VerificationResult,
-    reverify: Callable[[], VerificationResult],
-) -> VerificationResult:
-    """Refine a surviving deadlock candidate under partial invariants.
-
-    The CEGAR loop of ``invariants="partial"``: while the candidate
-    survives, conjoin the next batch of ranked rows its model violates and
-    re-ask the same query.  Terminates with either
-
-    * a deadlock-free verdict under a *subset* of the invariants (sound:
-      adding the rest keeps UNSAT — byte-identical to eager mode), or
-    * a candidate whose model satisfies every remaining row (it would
-      survive the full set too — byte-identical to eager mode), reached
-      at the latest when the selector is exhausted at the full set.
-
-    ``ranked`` must be the spec's static-rank list the selector was built
-    over; ``reverify`` re-runs the probe (capacity pins included).  The
-    final result's ``stats["invariant_selection"]`` records this probe's
-    escalation delta.
-    """
-    before = selector.counters()
-    # A TIMEOUT result exits immediately: there is no model to refine
-    # against, and the caller owns the expired-budget handling.
-    while (
-        not result.deadlock_free
-        and not result.timed_out
-        and not selector.exhausted
-    ):
-        batch = selector.next_batch(session.invariant_value_of())
-        if not batch:
-            break  # model satisfies the full remainder: candidate is final
-        session.conjoin_invariants([ranked[index] for index in batch])
-        result = reverify()
-    result.stats["invariant_selection"] = InvariantSelector.counters_delta(
-        selector.counters(), before
-    )
-    return result

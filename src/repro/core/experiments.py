@@ -13,8 +13,8 @@ The pieces:
   *builder name* (resolved through the registry below, so no closures
   cross process boundaries) plus kwargs (mesh dims, directory position,
   VC count, protocol), the probe mode (boundary ``search`` or full-curve
-  ``sweep``) and the invariant mode (``eager`` / ``lazy`` / ``none`` —
-  see :mod:`repro.core.sizing`).
+  ``sweep``) and the invariant mode (``eager`` / ``none`` — see
+  :mod:`repro.core.sizing`).
 * the **builder registry** — :func:`register_builder` maps names to
   network builders; :mod:`repro.protocols` and :mod:`repro.netlib`
   register theirs on import, and :func:`resolve_builder` imports both
@@ -49,7 +49,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-import warnings
 from concurrent.futures import BrokenExecutor, as_completed
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -58,7 +57,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..xmas import Network
 from .cache import atomic_write_json
-from .invariants import DEFAULT_RANK_BUDGET, DEFAULT_RANK_GROWTH
 from .parallel import (
     default_jobs,
     discard_scenario_executor,
@@ -73,12 +71,6 @@ from .sizing import (
     sweep_queue_sizes,
 )
 
-
-def resolve_rank_knob(value: "int | None", kind: str) -> int:
-    """A partial-mode schedule knob with the selector default applied."""
-    if value is not None:
-        return int(value)
-    return DEFAULT_RANK_BUDGET if kind == "budget" else DEFAULT_RANK_GROWTH
 
 __all__ = [
     "Experiment",
@@ -309,27 +301,10 @@ class ScenarioSpec:
     size_param:
         The builder kwarg the probed size is passed as.
     invariants:
-        ``"eager"`` / ``"lazy"`` / ``"partial"`` / ``"none"`` — see
-        :mod:`repro.core.sizing`.
-    rank_budget, rank_growth:
-        Partial-mode selection schedule (initial batch size / per-step
-        growth; ``None`` = the
-        :class:`~repro.core.invariants.InvariantSelector` defaults).
-        Verdict-invariant by construction, so — like the scheduling
-        hints — they are *excluded* from :meth:`key`; the policy actually
-        used is recorded on the :class:`ScenarioResult` and a resumed run
-        warns when it differs from the requested one.
+        ``"eager"`` / ``"none"`` — see :mod:`repro.core.sizing`.
     query_jobs:
         Inner query-level worker count for this scenario's sweep;
         ``None`` defers to the scheduler's nested-jobs budget.
-    portfolio:
-        Answer this scenario's probes through a racing
-        :class:`~repro.core.portfolio.PortfolioSession` (the query-jobs
-        budget becomes the racer budget).  Verdict-invariant by
-        construction — the portfolio's canonical verdicts are
-        byte-identical to sequential eager mode — so, like the
-        scheduling hints, it is *excluded* from :meth:`key`; the
-        per-strategy win record lands on the :class:`ScenarioResult`.
     label:
         Display label; defaults to a rendering of builder + kwargs.
     """
@@ -342,10 +317,7 @@ class ScenarioSpec:
     max_size: int = 512
     size_param: str = "queue_size"
     invariants: str = "eager"
-    rank_budget: int | None = None
-    rank_growth: int | None = None
     query_jobs: int | None = None
-    portfolio: bool = False
     label: str | None = None
 
     def __post_init__(self):
@@ -375,23 +347,13 @@ class ScenarioSpec:
             raise ValueError(
                 f"query_jobs must be >= 1, got {self.query_jobs}"
             )
-        for knob in ("rank_budget", "rank_growth"):
-            value = getattr(self, knob)
-            if value is not None and value < 1:
-                raise ValueError(f"{knob} must be >= 1, got {value}")
 
     # ------------------------------------------------------------------
     def key(self) -> str:
         """Canonical identity of this grid point (resume / dedup key).
 
-        Scheduling hints (``query_jobs``, ``label``, ``portfolio``) and
-        the partial-mode selection schedule (``rank_budget``,
-        ``rank_growth``) are excluded: they do not change the scenario's
-        verdicts (escalation terminates at the full set and portfolio
-        racing reports the canonical verdicts, so any schedule is
-        byte-identical).
-        :meth:`Experiment.run` warns when a resumed result was recorded
-        under a different selection policy.
+        Scheduling hints (``query_jobs``, ``label``) are excluded: they
+        do not change the scenario's verdicts.
         """
         payload = {
             "builder": self.builder,
@@ -453,6 +415,18 @@ class ScenarioResult:
     travels cheaply from worker processes and serialises to JSON.
     """
 
+    # Keys that checkpoints written before the strategy portfolio and the
+    # lazy/partial invariant modes were retired still carry; dropped on
+    # load so those checkpoints resume.
+    RETIRED_KEYS = (
+        "lazy_escalations",
+        "rank_histogram",
+        "rank_budget",
+        "rank_growth",
+        "strategy_wins",
+        "portfolio_races",
+    )
+
     key: str
     label: str
     minimal_size: int | None
@@ -462,25 +436,12 @@ class ScenarioResult:
     total_seconds: float
     invariants_mode: str
     invariants_used: bool
-    lazy_escalations: int
-    # Selection ablation (see repro.core.invariants): rows actually
-    # encoded, their static-rank-tier histogram, and the partial-mode
-    # schedule the run used (None outside partial mode) — the "recorded
-    # selection policy" resume runs are checked against.
+    # Invariant rows actually encoded (0 in ``none`` mode).
     invariants_generated: int = 0
-    rank_histogram: dict[int, int] = field(default_factory=dict)
-    rank_budget: int | None = None
-    rank_growth: int | None = None
-    # Portfolio racing record (strategy name -> probes won, and the race
-    # count behind them).  Empty/zero when the scenario ran without a
-    # portfolio — and on results loaded from pre-portfolio checkpoints,
-    # which carry neither field.
-    strategy_wins: dict[str, int] = field(default_factory=dict)
-    portfolio_races: int = 0
     stats: dict = field(default_factory=dict)
     # Structured failure record (None on success): set when a scenario
     # exhausted the whole quarantine ladder (pool retries, then inline
-    # as-spec'd, then sequential eager) without producing verdicts.  A
+    # as-spec'd, then one query job) without producing verdicts.  A
     # failed result still occupies its grid slot — the rest of the grid
     # completes — and a resumed run retries it instead of reusing it.
     failure: dict | None = None
@@ -504,7 +465,6 @@ class ScenarioResult:
             total_seconds=round(total_seconds, 6),
             invariants_mode=spec.invariants,
             invariants_used=False,
-            lazy_escalations=0,
             failure={
                 "type": type(error).__name__,
                 "message": str(error),
@@ -527,7 +487,6 @@ class ScenarioResult:
             for key, value in result.stats.get("solver", {}).items():
                 if isinstance(value, (int, float)):
                     solver_totals[key] = solver_totals.get(key, 0) + value
-        partial = spec.invariants == "partial"
         return cls(
             key=spec.key(),
             label=spec.display_label,
@@ -538,46 +497,25 @@ class ScenarioResult:
             total_seconds=round(total_seconds, 6),
             invariants_mode=sizing.invariants_mode,
             invariants_used=sizing.invariants_used,
-            lazy_escalations=sizing.lazy_escalations,
             invariants_generated=sizing.invariants_generated,
-            rank_histogram=dict(sorted(sizing.rank_histogram.items())),
-            rank_budget=resolve_rank_knob(spec.rank_budget, "budget")
-            if partial
-            else None,
-            rank_growth=resolve_rank_knob(spec.rank_growth, "growth")
-            if partial
-            else None,
-            strategy_wins=dict(sorted(sizing.strategy_wins.items())),
-            portfolio_races=sizing.portfolio_races,
             stats={"network": network_stats, "solver_totals": solver_totals},
         )
 
     def to_json(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["probes"] = {str(size): free for size, free in self.probes.items()}
-        data["rank_histogram"] = {
-            str(tier): count for tier, count in self.rank_histogram.items()
-        }
         return data
 
     @classmethod
     def from_json(cls, data: Mapping) -> "ScenarioResult":
-        payload = dict(data)
+        payload = {
+            key: value
+            for key, value in data.items()
+            if key not in cls.RETIRED_KEYS
+        }
         payload["probes"] = {
             int(size): bool(free) for size, free in payload["probes"].items()
         }
-        if "rank_histogram" in payload:
-            payload["rank_histogram"] = {
-                int(tier): int(count)
-                for tier, count in payload["rank_histogram"].items()
-            }
-        # Pre-portfolio checkpoints carry neither field; the dataclass
-        # defaults (no wins, zero races) make them load unchanged.
-        if "strategy_wins" in payload:
-            payload["strategy_wins"] = {
-                str(name): int(count)
-                for name, count in payload["strategy_wins"].items()
-            }
         return cls(**payload)
 
     def verdicts(self) -> list:
@@ -624,18 +562,6 @@ class ExperimentResult:
     @property
     def query_seconds(self) -> float:
         return sum(result.query_seconds for result in self.scenarios)
-
-    @property
-    def portfolio_races(self) -> int:
-        return sum(result.portfolio_races for result in self.scenarios)
-
-    def strategy_wins(self) -> dict[str, int]:
-        """Per-strategy probe wins summed over every scenario."""
-        wins: dict[str, int] = {}
-        for result in self.scenarios:
-            for name, count in result.strategy_wins.items():
-                wins[name] = wins.get(name, 0) + count
-        return dict(sorted(wins.items()))
 
     def verdict_bytes(self) -> bytes:
         """Canonical byte encoding of every scenario's verdicts — the
@@ -707,8 +633,6 @@ def run_scenario(
     spec: ScenarioSpec,
     query_jobs: int | None = None,
     backend: str = "process",
-    portfolio: bool | None = None,
-    portfolio_lead: str | None = None,
     deadline=None,
 ) -> ScenarioResult:
     """Build and answer one scenario end to end (the worker body).
@@ -718,12 +642,7 @@ def run_scenario(
     own sessions — nothing but the spec comes in and nothing but the
     compact result goes out.  ``query_jobs`` is the scheduler's
     nested-jobs budget; the spec's own :attr:`ScenarioSpec.query_jobs`
-    overrides it.  When the probes race through a portfolio, that same
-    budget caps the racer count (:func:`~repro.core.portfolio.racer_budget`),
-    so the two-level jobs accounting is unchanged.  ``portfolio=None``
-    defers to :attr:`ScenarioSpec.portfolio`; ``portfolio_lead`` names
-    the strategy the scheduler wants raced first (its learned leader for
-    this scenario's family).  ``deadline`` bounds every probe
+    overrides it.  ``deadline`` bounds every probe
     (:class:`~repro.core.resilience.Deadline` or wire tuple — it crosses
     the scenario-pool boundary as plain data); sizes the budget could not
     answer land as ``TIMEOUT`` probes, never hangs.
@@ -732,7 +651,6 @@ def run_scenario(
     maybe_inject("scenario-worker")
     deadline = Deadline.coerce(deadline)
     inner = spec.query_jobs if spec.query_jobs is not None else (query_jobs or 1)
-    use_portfolio = spec.portfolio if portfolio is None else portfolio
     build = spec.build_callable()
     if spec.mode == "search":
         sizing = minimal_queue_size(
@@ -740,11 +658,6 @@ def run_scenario(
             low=spec.low,
             max_size=spec.max_size,
             invariants=spec.invariants,
-            rank_budget=spec.rank_budget,
-            rank_growth=spec.rank_growth,
-            portfolio=use_portfolio,
-            portfolio_jobs=inner,
-            portfolio_lead=portfolio_lead,
             deadline=deadline,
         )
     else:
@@ -754,10 +667,6 @@ def run_scenario(
             jobs=inner,
             backend=backend,
             invariants=spec.invariants,
-            rank_budget=spec.rank_budget,
-            rank_growth=spec.rank_growth,
-            portfolio=use_portfolio,
-            portfolio_lead=portfolio_lead,
             deadline=deadline,
         )
     return ScenarioResult.from_sizing(spec, sizing, perf_counter() - start)
@@ -799,8 +708,6 @@ class Experiment:
         max_size: int = 512,
         size_param: str = "queue_size",
         invariants: str = "eager",
-        rank_budget: int | None = None,
-        rank_growth: int | None = None,
         query_jobs: int | None = None,
     ) -> "Experiment":
         """Expand ``axes`` (kwarg name → values) into a cartesian grid.
@@ -826,8 +733,6 @@ class Experiment:
                     max_size=max_size,
                     size_param=size_param,
                     invariants=invariants,
-                    rank_budget=rank_budget,
-                    rank_growth=rank_growth,
                     query_jobs=query_jobs,
                 )
             )
@@ -845,7 +750,6 @@ class Experiment:
         resume: "ExperimentResult | str | Path | None" = None,
         save_path: str | Path | None = None,
         progress: Callable[[ScenarioResult], None] | None = None,
-        portfolio: bool | None = None,
         retry_policy: RetryPolicy | None = None,
         deadline=None,
     ) -> ExperimentResult:
@@ -860,8 +764,7 @@ class Experiment:
             pool, identical verdicts.
         query_jobs:
             Inner per-scenario query worker budget.  Defaults to ``1`` —
-            each scenario answers its sweep sequentially, so results
-            (including the lazy-invariant escalation record) are
+            each scenario answers its sweep sequentially, so results are
             identical on every machine.  Pass ``"auto"`` to split the
             machine budget instead
             (:func:`~repro.core.parallel.nested_jobs` of the outer
@@ -884,22 +787,12 @@ class Experiment:
             Callback invoked with each newly computed
             :class:`ScenarioResult` as it lands (worker completion
             order).
-        portfolio:
-            ``None`` (default) defers to each spec's
-            :attr:`ScenarioSpec.portfolio`; ``True``/``False`` overrides
-            the whole grid.  Portfolio scenarios are seeded with a
-            *learned leader*: the scheduler tallies per-strategy wins
-            from prior results of the same scenario family (same
-            builder) — resumed checkpoints and, on the inline path,
-            results landing earlier in this run — and races that
-            family's winningest strategy first.  Verdicts are unchanged
-            either way; only which racer tends to finish first is.
         retry_policy:
             Backoff schedule for the fault-tolerant scheduler (defaults
             to :class:`~repro.core.resilience.RetryPolicy`).  A scenario
             that crashes its worker is resubmitted to a rebuilt pool up
             to ``max_attempts`` times, then *quarantined*: re-run inline
-            as spec'd, then degraded to a sequential-eager fallback, and
+            as spec'd, then degraded to one query job, and
             only if that also fails recorded as a structured
             :attr:`ScenarioResult.failure` — the rest of the grid always
             completes.
@@ -936,35 +829,9 @@ class Experiment:
         pending = [
             spec for spec in self.scenarios if spec.key() not in completed
         ]
-        reused = sum(1 for key in grid_keys if key in completed)
         # Reusing a completed key is sound: keys pin every
-        # verdict-relevant field (including the invariants *mode*), and
-        # any partial-mode escalation schedule is verdict-identical.  The
-        # schedule is deliberately outside the key, though, so a result
-        # recorded under a different rank_budget/rank_growth can be
-        # spliced in — its ablation counters reflect the recorded policy,
-        # which must be loud, not silent.
-        for spec in self.scenarios:
-            if spec.invariants != "partial":
-                continue
-            prior = completed.get(spec.key())
-            if prior is None:
-                continue
-            wanted = (
-                resolve_rank_knob(spec.rank_budget, "budget"),
-                resolve_rank_knob(spec.rank_growth, "growth"),
-            )
-            recorded = (prior.rank_budget, prior.rank_growth)
-            if recorded != wanted:
-                warnings.warn(
-                    f"resume: reusing scenario {prior.label!r} recorded "
-                    f"under a different selection policy: rank schedule "
-                    f"{recorded} (requested {wanted}) — verdicts are "
-                    "identical by construction, but its "
-                    "invariant-selection counters reflect the recorded "
-                    "policy",
-                    stacklevel=2,
-                )
+        # verdict-relevant field (including the invariants mode).
+        reused = sum(1 for key in grid_keys if key in completed)
         if jobs is None:
             jobs = min(default_jobs(), max(1, len(pending)))
         if jobs < 1:
@@ -986,31 +853,6 @@ class Experiment:
         failures = 0
         retries = 0
         degraded = 0
-
-        # Leader learning: per scenario *family* (builder name — the
-        # finest grain the grid shares solver behaviour across), tally
-        # which portfolio strategy won the most probes so far.  Scenario
-        # keys are JSON payloads, so the family of a resumed result is
-        # recoverable without its spec.
-        family_wins: dict[str, dict[str, int]] = {}
-
-        def credit_wins(key: str, wins: Mapping[str, int]) -> None:
-            family = json.loads(key)["builder"]
-            tally = family_wins.setdefault(family, {})
-            for name, count in wins.items():
-                tally[name] = tally.get(name, 0) + int(count)
-
-        for key, prior in completed.items():
-            if prior.strategy_wins:
-                credit_wins(key, prior.strategy_wins)
-
-        def lead_for(spec: ScenarioSpec) -> str | None:
-            tally = family_wins.get(spec.builder)
-            if not tally:
-                return None
-            # Deterministic argmax: most wins, ties broken by name.
-            best = max(sorted(tally), key=lambda name: tally[name])
-            return best if tally[best] > 0 else None
 
         def checkpoint() -> None:
             if save_path is None:
@@ -1034,8 +876,6 @@ class Experiment:
             nonlocal computed
             results_by_key[result.key] = result
             computed += 1
-            if result.strategy_wins:
-                credit_wins(result.key, result.strategy_wins)
             checkpoint()
             if progress is not None:
                 progress(result)
@@ -1045,9 +885,9 @@ class Experiment:
 
             A scenario lands here after exhausting its pool attempts (or
             after its worker answered with an exception): first re-run it
-            inline exactly as spec'd, then degrade to a sequential-eager
-            single-session replay (same key — ``portfolio``/``query_jobs``
-            are verdict-invariant scheduling hints), and only when that
+            inline exactly as spec'd, then degrade to a single-session
+            replay with one query job (same key — ``query_jobs`` is a
+            verdict-invariant scheduling hint), and only when that
             also fails return a structured failure placeholder so the
             rest of the grid still completes.
             """
@@ -1056,24 +896,15 @@ class Experiment:
             retries += 1
             try:
                 return run_scenario(
-                    spec,
-                    query_jobs=inner,
-                    backend=backend,
-                    portfolio=portfolio,
-                    portfolio_lead=lead_for(spec),
-                    deadline=deadline,
+                    spec, query_jobs=inner, backend=backend, deadline=deadline
                 )
             except Exception:
                 pass
             degraded += 1
-            fallback = replace(spec, portfolio=False, query_jobs=1)
+            fallback = replace(spec, query_jobs=1)
             try:
                 return run_scenario(
-                    fallback,
-                    query_jobs=1,
-                    backend=backend,
-                    portfolio=False,
-                    deadline=deadline,
+                    fallback, query_jobs=1, backend=backend, deadline=deadline
                 )
             except Exception as error:
                 failures += 1
@@ -1086,8 +917,6 @@ class Experiment:
 
         if pending:
             if jobs == 1:
-                # Inline scheduling learns within the run: each scenario's
-                # leader reflects every earlier result of its family.
                 for spec in pending:
                     try:
                         land(
@@ -1095,8 +924,6 @@ class Experiment:
                                 spec,
                                 query_jobs=inner,
                                 backend=backend,
-                                portfolio=portfolio,
-                                portfolio_lead=lead_for(spec),
                                 deadline=deadline,
                             )
                         )
@@ -1132,22 +959,13 @@ class Experiment:
                     executor = scenario_executor(
                         jobs, backend, epoch=registry_generation()
                     )
-                    # Pool submissions are all in flight at once, so
-                    # leaders come from the resume seed only
-                    # (cross-*run* learning).  The deadline crosses the
-                    # pool boundary as its wire tuple: worker clocks are
-                    # not comparable with ours.
+                    # The deadline crosses the pool boundary as its wire
+                    # tuple: worker clocks are not comparable with ours.
                     future_spec = {}
                     for spec in pooled:
                         attempts[spec.key()] += 1
                         future = executor.submit(
-                            run_scenario,
-                            spec,
-                            inner,
-                            backend,
-                            portfolio,
-                            lead_for(spec),
-                            wire,
+                            run_scenario, spec, inner, backend, wire
                         )
                         future_spec[future] = spec
                     try:

@@ -52,7 +52,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from fractions import Fraction
 from multiprocessing import get_all_start_methods, get_context
 from time import perf_counter
 from typing import Hashable, Iterator, Mapping, Sequence
@@ -68,7 +67,6 @@ from .engine import (
     VerificationSession,
     resolve_resize,
 )
-from .invariants import InvariantSelector
 from .proof import extract_witness
 from .resilience import Deadline, RetryPolicy, maybe_inject
 from .result import DeadlockWitness, Invariant, Verdict, VerificationResult
@@ -232,15 +230,9 @@ class WorkerSession:
     everything learned on the previous ones.
     """
 
-    def __init__(
-        self,
-        snapshot: SessionSnapshot,
-        reduction_overrides: dict | None = None,
-    ):
+    def __init__(self, snapshot: SessionSnapshot):
         self.snapshot = snapshot
-        self.solver, ints = restore_solver(
-            snapshot.solver, reduction_overrides=reduction_overrides
-        )
+        self.solver, ints = restore_solver(snapshot.solver)
         self._ints = ints
         self._capacities = {
             name: ints[uid] for name, uid in snapshot.capacity_uids
@@ -249,9 +241,6 @@ class WorkerSession:
         self._witness_vars = [
             (uid, ints[uid]) for uid in snapshot.witness_int_uids
         ]
-        # Partial-invariant escalation state, built lazily from the
-        # snapshot's pending rows on the first escalating job.
-        self._selector: InvariantSelector | None = None
 
     def fork(self) -> "WorkerSession":
         """An independent clone over the same solver state (in-process).
@@ -268,9 +257,6 @@ class WorkerSession:
         clone._witness_vars = self._witness_vars
         # Guard definitions already minted live in the forked clauses.
         clone._size_guard_names = dict(self._size_guard_names)
-        # Escalation state is per-clone: the template never runs jobs, so
-        # clones start with every pending row still selectable.
-        clone._selector = None
         return clone
 
     # ------------------------------------------------------------------
@@ -309,9 +295,9 @@ class WorkerSession:
         as-built configuration); an explicit pin list overrides.
 
         ``conflict_limit``/``should_stop`` bound the call cooperatively
-        (see :meth:`Solver.check`); an expired slice yields the payload
+        (see :meth:`Solver.check`); an expired budget yields the payload
         ``("unknown", None, None, stats, elapsed)`` with all learning
-        retained, so the caller can import peer clauses and re-ask.
+        retained, so a retry resumes warm.
         """
         start = perf_counter()
         names = [self._guard_name(target)]
@@ -347,76 +333,6 @@ class WorkerSession:
         }
         return ("sat", ints, bools, stats, elapsed)
 
-    # ------------------------------------------------------------------
-    # Partial-invariant escalation (see repro.core.invariants)
-    # ------------------------------------------------------------------
-    def _ensure_selector(
-        self, rank_budget: int | None, rank_growth: int | None
-    ) -> InvariantSelector:
-        if self._selector is None:
-            self._selector = InvariantSelector(
-                self.snapshot.pending_invariant_rows,
-                rank_budget=rank_budget,
-                rank_growth=rank_growth,
-            )
-        return self._selector
-
-    def _row_term(self, row):
-        """Re-build one plain-data invariant row over the restored vars."""
-        entries, const_num, const_den = row
-        expr = None
-        for uid, num, den, _ in entries:
-            piece = Fraction(num, den) * self._ints[uid]
-            expr = piece if expr is None else expr + piece
-        return eq(expr, -Fraction(const_num, const_den))
-
-    def _model_value_of(self):
-        model = self.solver.model()
-        ints = self._ints
-
-        def value_of(uid: int) -> int:
-            return int(model[ints[uid]])
-
-        return value_of
-
-    def check_escalating(
-        self,
-        target: Target,
-        sizes: SizesKey | None,
-        want_witness: bool,
-        selector: InvariantSelector,
-        conflict_limit: int | None = None,
-        should_stop=None,
-    ) -> tuple:
-        """One probe under partial invariants (worker-local CEGAR loop).
-
-        Mirrors :func:`repro.core.engine.escalate_partial`: while the
-        candidate survives, conjoin the next violated batch and re-ask;
-        stop when the verdict frees, the model satisfies every remaining
-        row, or the full set is in force.  The strengthening is permanent,
-        so later probes on this worker continue from it.  Returns the
-        probe payload extended with this probe's selection delta.
-
-        Slice bounds apply per inner :meth:`check`; an ``"unknown"``
-        payload exits the loop (conjoined rows persist), so the next call
-        resumes the escalation where this slice stopped.
-        """
-        before = selector.counters()
-        payload = self.check(
-            target, sizes, want_witness, conflict_limit, should_stop
-        )
-        while payload[0] == "sat" and not selector.exhausted:
-            batch = selector.next_batch(self._model_value_of())
-            if not batch:
-                break  # candidate survives the full set: final
-            for index in batch:
-                self.solver.add_global(self._row_term(selector.rows[index]))
-            payload = self.check(
-                target, sizes, want_witness, conflict_limit, should_stop
-            )
-        delta = InvariantSelector.counters_delta(selector.counters(), before)
-        return (*payload, delta)
-
     def _seed_phases_from_sat(self, payload: tuple) -> None:
         # Phase-seed the next probe from this witness's block booleans:
         # shards walk sizes in ascending order, so the previous blocking
@@ -433,9 +349,7 @@ class WorkerSession:
         if bools:
             self.solver.phase_hints(bools)
 
-    def _bounded_check(
-        self, deadline, target, sizes, want_witness, selector=None
-    ) -> tuple:
+    def _bounded_check(self, deadline, target, sizes, want_witness) -> tuple:
         """One probe under a worker-local :class:`Deadline` (or none).
 
         An expired budget short-circuits to the ``"unknown"`` payload
@@ -448,12 +362,7 @@ class WorkerSession:
             return ("unknown", None, None, {"timed_out": True}, 0.0)
         limit = deadline.remaining_conflicts() if deadline else None
         stop = deadline.should_stop if deadline else None
-        if selector is not None:
-            payload = self.check_escalating(
-                target, sizes, want_witness, selector, limit, stop
-            )
-        else:
-            payload = self.check(target, sizes, want_witness, limit, stop)
+        payload = self.check(target, sizes, want_witness, limit, stop)
         if deadline is not None:
             deadline.charge(payload[3].get("conflicts", 0))
         return payload
@@ -475,22 +384,6 @@ class WorkerSession:
             for target, sizes in probes:
                 payload = self._bounded_check(
                     deadline, target, sizes, want_witness
-                )
-                payloads.append(payload)
-                if payload[0] == "sat":
-                    self._seed_phases_from_sat(payload)
-            return payloads
-        if kind == "eshard":
-            # An escalating shard: same ordered walk as "shard", but every
-            # surviving candidate first runs the worker-local escalation
-            # loop over the snapshot's pending invariant rows.
-            _, probes, want_witness, rank_budget, rank_growth, *rest = job
-            deadline = Deadline.from_wire(rest[0]) if rest else None
-            selector = self._ensure_selector(rank_budget, rank_growth)
-            payloads = []
-            for target, sizes in probes:
-                payload = self._bounded_check(
-                    deadline, target, sizes, want_witness, selector
                 )
                 payloads.append(payload)
                 if payload[0] == "sat":
@@ -562,12 +455,6 @@ class ParallelVerificationSession:
     reduction_opts:
         Lifecycle knobs (``reduce_base`` etc.) for the local session and,
         via the snapshot, every worker — shard-locality tuning.
-    partial_invariants:
-        Ship the spec's *ranked, not-yet-conjoined* invariant rows with
-        the pool snapshot so workers can escalate through them locally
-        (``invariants="partial"`` sweeps; see
-        :meth:`probe_shards`'s ``escalation``).  Triggers ranked
-        generation at pool-snapshot time.
     rotating_precision, max_splits, parametric_queues, spec:
         As for :class:`~repro.core.engine.VerificationSession`.
 
@@ -588,7 +475,6 @@ class ParallelVerificationSession:
         learned_cap: int = 4000,
         force_pool: bool = False,
         reduction_opts: Mapping | None = None,
-        partial_invariants: bool = False,
         spec: SessionSpec | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
@@ -616,7 +502,6 @@ class ParallelVerificationSession:
         self.warm_start = warm_start
         self._learned_cap = learned_cap
         self._force_pool = force_pool
-        self._partial_invariants = partial_invariants
         self._reduction_opts = dict(reduction_opts or {}) or None
         self._max_splits = max_splits
         self.retry_policy = retry_policy or RetryPolicy()
@@ -738,14 +623,11 @@ class ParallelVerificationSession:
             return self.spec.snapshot(
                 max_splits=self._max_splits,
                 reduction_opts=self._reduction_opts,
-                include_pending_invariants=self._partial_invariants,
             )
         local = self._local_session()
         local.verify()
         return local.snapshot(
-            include_learned=True,
-            learned_cap=self._learned_cap,
-            include_pending_invariants=self._partial_invariants,
+            include_learned=True, learned_cap=self._learned_cap
         )
 
     def _sequential_fallback(self, want: int) -> bool:
@@ -815,7 +697,7 @@ class ParallelVerificationSession:
         self, payload: tuple, sizes: Mapping[str, int] | None = None
     ) -> VerificationResult:
         """One worker payload → a parent-space VerificationResult."""
-        kind, a, b, solver_stats, elapsed = payload[:5]
+        kind, a, b, solver_stats, elapsed = payload
         solver_stats = dict(solver_stats)
         solver_profile = solver_stats.pop("profile", {})
         invariants = self.spec.invariants or []
@@ -831,9 +713,6 @@ class ParallelVerificationSession:
             stats["queue_sizes"] = dict(
                 self._sizes if sizes is None else sizes
             )
-        if len(payload) > 5 and payload[5] is not None:
-            # Escalating probes report their worker-local selection delta.
-            stats["invariant_selection"] = payload[5]
         if kind == "unknown":
             # The worker's slice of the run budget expired: a first-class
             # TIMEOUT, with whatever stats the cutoff left behind.
@@ -982,7 +861,6 @@ class ParallelVerificationSession:
         self,
         shards: Sequence[Sequence[Mapping[str, int]]],
         want_witness: bool = True,
-        escalation: tuple[int | None, int | None] | None = None,
         deadline=None,
     ) -> list[list[VerificationResult]]:
         """Run the full check under each capacity assignment, sharded.
@@ -992,23 +870,9 @@ class ParallelVerificationSession:
         order within a shard warm-starts each probe with the clauses
         learned on the previous ones.  Returns results aligned with the
         input structure.
-
-        ``escalation=(rank_budget, rank_growth)`` switches the workers to
-        partial-invariant probes: every surviving candidate runs the
-        worker-local CEGAR loop over the snapshot's pending invariant
-        rows before its verdict lands (requires
-        ``partial_invariants=True`` at construction, which ships those
-        rows with the pool snapshot).  Each result's
-        ``stats["invariant_selection"]`` carries the per-probe delta.
         """
         if not self._parametric:
             raise RuntimeError("probe_shards() requires parametric_queues=True")
-        if escalation is not None and not self._partial_invariants:
-            raise RuntimeError(
-                "probe_shards(escalation=...) requires "
-                "partial_invariants=True (the pool snapshot must carry "
-                "the ranked invariant rows)"
-            )
         full_shards = [
             [
                 resolve_resize(self._sizes, dict(assignment), True)
@@ -1017,33 +881,15 @@ class ParallelVerificationSession:
             for shard in shards
         ]
         tail = self._job_tail(deadline)
-        if escalation is None:
-            job_list: list[Job] = [
-                (
-                    "shard",
-                    tuple(
-                        (None, tuple(sorted(full.items()))) for full in shard
-                    ),
-                    want_witness,
-                    *tail,
-                )
-                for shard in full_shards
-            ]
-        else:
-            rank_budget, rank_growth = escalation
-            job_list = [
-                (
-                    "eshard",
-                    tuple(
-                        (None, tuple(sorted(full.items()))) for full in shard
-                    ),
-                    want_witness,
-                    rank_budget,
-                    rank_growth,
-                    *tail,
-                )
-                for shard in full_shards
-            ]
+        job_list: list[Job] = [
+            (
+                "shard",
+                tuple((None, tuple(sorted(full.items()))) for full in shard),
+                want_witness,
+                *tail,
+            )
+            for shard in full_shards
+        ]
         payload_lists = self._dispatch(job_list)
         return [
             [

@@ -37,28 +37,13 @@ blocking shape (``seed_phases_from_witness`` locally, ``phase_hints`` in
 the shard workers), so each capacity step starts its search at the model
 the last step ended on instead of from scratch.
 
-**Invariant modes.**  Both entry points take ``invariants=`` with four
+**Invariant modes.**  Both entry points take ``invariants=`` with two
 settings.  ``"eager"`` (the default, equivalent to the old
 ``use_invariants=True``) conjoins the cross-layer invariants before the
-first probe.  ``"none"`` never generates them — plain block/idle detection.
-``"lazy"`` is *batched invariant strengthening*: probes start without
-automaton-equation invariants and the set is generated and conjoined only
-when a deadlock candidate survives plain block/idle (a deadlock-free
-verdict without invariants stays deadlock-free with them — invariants only
-strengthen — so lazy verdicts are identical to eager ones while networks
-that verify outright never pay for invariant generation).  ``"partial"``
-goes further: instead of conjoining the *full* set on the first surviving
-candidate, it escalates CEGAR-style through the statically ranked rows
-(:class:`~repro.core.invariants.InvariantSelector` — only rows the
-candidate's model violates, witness-overlap first, geometrically growing
-``rank_budget`` batches), terminating at the full set, so verdicts stay
-byte-identical to eager mode while the big meshes typically encode a
-small fraction of the rows.  The result records whether invariants ended
-up in force (``invariants_used``), how many probes forced an escalation
-step (``lazy_escalations``), how many rows were encoded
-(``invariants_generated``) and how deep into the ranking the refinement
-reached (``rank_histogram``), so experiment grids can report the
-selection ablation per scenario.
+first probe, as the paper does.  ``"none"`` never generates them — plain
+block/idle detection, the paper's ablation.  The result records whether
+invariants were in force (``invariants_used``) and how many rows were
+encoded (``invariants_generated``).
 
 **Timing split.**  Results separate ``build_seconds`` (network
 construction, encoding, invariant generation) from ``query_seconds``
@@ -73,7 +58,7 @@ from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 from ..xmas import Network
-from .engine import VerificationSession, escalate_partial
+from .engine import VerificationSession
 from .proof import verify
 from .resilience import Deadline
 from .result import VerificationResult
@@ -85,7 +70,7 @@ __all__ = [
     "resolve_invariants_mode",
 ]
 
-INVARIANT_MODES = ("eager", "lazy", "partial", "none")
+INVARIANT_MODES = ("eager", "none")
 
 
 class _DeadlineExpired(Exception):
@@ -119,18 +104,9 @@ class SizingResult:
 
     ``build_seconds`` / ``query_seconds`` split the wall-clock between the
     build phase (network construction, encoding, invariant generation) and
-    the solver queries; ``invariants_used`` and ``lazy_escalations`` record
-    the invariant-mode ablation (see the module docstring).
-    ``lazy_escalations`` counts escalation steps — probes re-answered
-    under a strengthened encoding — *under this schedule*: a sequential
-    lazy walk strengthens at the first surviving candidate (at most 1),
-    the batched lazy pool pass re-answers every surviving size, and a
-    partial walk counts every CEGAR refinement step — verdicts are
-    identical in every case.  ``invariants_generated`` counts the
-    invariant rows actually encoded (eager/escalated lazy: the full set;
-    partial: the selected subset; schedule-dependent, summed across
-    shards by :meth:`merge`) and ``rank_histogram`` buckets those rows by
-    static-rank tier (partial mode only).
+    the solver queries; ``invariants_used`` and ``invariants_generated``
+    (the number of invariant rows encoded) record the invariant-mode
+    ablation (see the module docstring).
     """
 
     minimal_size: int | None
@@ -140,14 +116,7 @@ class SizingResult:
     query_seconds: float = 0.0
     invariants_mode: str = "eager"
     invariants_used: bool = True
-    lazy_escalations: int = 0
     invariants_generated: int = 0
-    rank_histogram: dict[int, int] = field(default_factory=dict)
-    # Portfolio racing (strategy name -> races won); empty unless the
-    # search ran through a PortfolioSession.  ``portfolio_races`` counts
-    # the races behind those wins, so win *rates* survive aggregation.
-    strategy_wins: dict[str, int] = field(default_factory=dict)
-    portfolio_races: int = 0
     # True when a run budget expired before the search/sweep completed:
     # ``probes`` then holds only the sizes decided in budget (TIMEOUT
     # probes appear in ``results`` but never in ``probes``), and a
@@ -179,11 +148,7 @@ class SizingResult:
         build_s = query_s = 0.0
         mode: str | None = None
         used = False
-        escalations = 0
         generated = 0
-        histogram: dict[int, int] = {}
-        wins: dict[str, int] = {}
-        races = 0
         timed_out = False
         for part in parts:
             for size, free in part.probes.items():
@@ -198,13 +163,7 @@ class SizingResult:
             query_s += part.query_seconds
             mode = part.invariants_mode if mode is None else mode
             used = used or part.invariants_used
-            escalations += part.lazy_escalations
             generated += part.invariants_generated
-            for tier, count in part.rank_histogram.items():
-                histogram[tier] = histogram.get(tier, 0) + count
-            for name, count in part.strategy_wins.items():
-                wins[name] = wins.get(name, 0) + count
-            races += part.portfolio_races
             timed_out = timed_out or part.timed_out
         free_sizes = [size for size, free in probes.items() if free]
         return cls(
@@ -215,11 +174,7 @@ class SizingResult:
             query_seconds=query_s,
             invariants_mode=mode or "eager",
             invariants_used=used,
-            lazy_escalations=escalations,
             invariants_generated=generated,
-            rank_histogram=histogram,
-            strategy_wins=wins,
-            portfolio_races=races,
             timed_out=timed_out,
         )
 
@@ -250,11 +205,6 @@ def minimal_queue_size(
     exhaustive: bool = False,
     incremental: bool = True,
     invariants: str | None = None,
-    rank_budget: int | None = None,
-    rank_growth: int | None = None,
-    portfolio: bool = False,
-    portfolio_jobs: int | None = None,
-    portfolio_lead: str | None = None,
     deadline=None,
     **verify_kwargs,
 ) -> SizingResult:
@@ -276,24 +226,9 @@ def minimal_queue_size(
         (requires ``build`` to vary only queue capacities).  ``False``
         re-verifies each size from scratch.
     invariants:
-        ``"eager"`` / ``"lazy"`` / ``"partial"`` / ``"none"`` — see the
-        module docstring.  Defaults to eager; the legacy
-        ``use_invariants=False`` kwarg still maps to ``"none"``.
-    rank_budget, rank_growth:
-        Partial-mode escalation schedule: the first batch size and the
-        per-step growth factor
-        (:class:`~repro.core.invariants.InvariantSelector` defaults).
-    portfolio:
-        Answer every probe through one persistent
-        :class:`~repro.core.portfolio.PortfolioSession` racing the
-        strategy roster (eager/lazy/partial + variants) with shared
-        clauses — verdicts identical to eager, wall-clock tracks the best
-        strategy per probe.  ``invariants`` is ignored (the roster spans
-        the modes); requires ``incremental=True``.  ``portfolio_jobs``
-        caps concurrent racers (``ADVOCAT_JOBS``/CPU budget otherwise)
-        and ``portfolio_lead`` names the strategy to race first (the
-        experiment scheduler passes its learned per-family leader).
-        The result's ``strategy_wins`` records who won each probe.
+        ``"eager"`` / ``"none"`` — see the module docstring.  Defaults to
+        eager; the legacy ``use_invariants=False`` kwarg still maps to
+        ``"none"``.
     deadline:
         Optional :class:`~repro.core.resilience.Deadline` (or bare
         seconds / a wire tuple) bounding the *whole search*.  On expiry
@@ -308,98 +243,20 @@ def minimal_queue_size(
     mode = resolve_invariants_mode(
         invariants, verify_kwargs.pop("use_invariants", True)
     )
+    use_invariants = mode == "eager"
     deadline = Deadline.coerce(deadline)
     probes: dict[int, bool] = {}
     results: dict[int, VerificationResult] = {}
     timer = _SplitTimer()
-    state = {
-        "added": mode == "eager",
-        "escalations": 0,
-        "generated": 0,
-        "histogram": {},
-        "selector": None,
-        "ranked": None,
-    }
+    generated = 0
 
-    def guard_timeout(size: int, result):
+    def guard_timeout(size: int, result) -> None:
         """Record a TIMEOUT probe and abort the walk (partial result)."""
         if result.timed_out:
             results[size] = result
             raise _DeadlineExpired
-        return result
 
-    def settle_partial(session: VerificationSession, result):
-        """Partial-mode refinement of one surviving candidate."""
-        if state["selector"] is None:
-
-            def build_selection():
-                state["ranked"] = session.spec.ranked_invariants()
-                state["selector"] = session.spec.invariant_selector(
-                    rank_budget=rank_budget, rank_growth=rank_growth
-                )
-
-            timer.timed("build", build_selection)
-        result = timer.timed(
-            "query",
-            lambda: escalate_partial(
-                session,
-                state["selector"],
-                state["ranked"],
-                result,
-                lambda: session.verify(deadline=deadline),
-            ),
-        )
-        state["escalations"] = state["selector"].escalations
-        state["generated"] = state["selector"].generated
-        state["histogram"] = dict(state["selector"].rank_histogram)
-        return result
-
-    portfolio_session = None
-    if portfolio:
-        if not incremental:
-            raise ValueError(
-                "portfolio=True probes through one persistent racing "
-                "session and requires incremental=True"
-            )
-        from .portfolio import PortfolioSession
-
-        base_network = timer.timed("build", lambda: build(low))
-        base_stats = base_network.stats()
-        base_queues = {q.name for q in base_network.queues()}
-        portfolio_session = timer.timed(
-            "build",
-            lambda: PortfolioSession(
-                network=base_network,
-                jobs=portfolio_jobs,
-                lead=portfolio_lead,
-                max_splits=verify_kwargs.get("max_splits", 100_000),
-            ),
-        )
-
-        def probe(size: int) -> bool:
-            if size not in probes:
-                built = timer.timed("build", lambda: build(size))
-                if (
-                    built.stats() != base_stats
-                    or {q.name for q in built.queues()} != base_queues
-                ):
-                    raise ValueError(
-                        "build(size) changed network structure, not just "
-                        "queue capacities; rerun with incremental=False"
-                    )
-                portfolio_session.resize_queues(
-                    {q.name: q.size for q in built.queues()}
-                )
-                result = timer.timed(
-                    "query",
-                    lambda: portfolio_session.verify(deadline=deadline),
-                )
-                guard_timeout(size, result)
-                probes[size] = result.deadlock_free
-                results[size] = result
-            return probes[size]
-
-    elif incremental:
+    if incremental:
         base_network = timer.timed("build", lambda: build(low))
         base_stats = base_network.stats()
         base_queues = {q.name for q in base_network.queues()}
@@ -409,9 +266,9 @@ def minimal_queue_size(
                 base_network, parametric_queues=True, **verify_kwargs
             ),
         )
-        if mode == "eager":
+        if use_invariants:
             timer.timed("build", session.add_invariants)
-            state["generated"] = len(session.invariants)
+            generated = len(session.invariants)
 
         def probe(size: int) -> bool:
             if size not in probes:
@@ -434,30 +291,7 @@ def minimal_queue_size(
                 result = timer.timed(
                     "query", lambda: session.verify(deadline=deadline)
                 )
-                # TIMEOUT is checked *before* any escalation: an expired
-                # probe is neither free nor deadlocked, so strengthening
-                # on it would both waste budget and corrupt accounting.
                 guard_timeout(size, result)
-                if not result.deadlock_free:
-                    if mode == "partial":
-                        # CEGAR-style partial strengthening: conjoin only
-                        # ranked rows the candidate's model violates,
-                        # escalating until the verdict settles.
-                        result = guard_timeout(
-                            size, settle_partial(session, result)
-                        )
-                    elif mode == "lazy" and not state["added"]:
-                        # Lazy strengthening: the candidate survived plain
-                        # block/idle, so generate + conjoin the invariants
-                        # (permanent, sound) and re-ask the same probe.
-                        timer.timed("build", session.add_invariants)
-                        state["added"] = True
-                        state["escalations"] += 1
-                        state["generated"] = len(session.invariants)
-                        result = timer.timed(
-                            "query", lambda: session.verify(deadline=deadline)
-                        )
-                        guard_timeout(size, result)
                 probes[size] = result.deadlock_free
                 results[size] = result
             return probes[size]
@@ -467,63 +301,16 @@ def minimal_queue_size(
         def probe(size: int) -> bool:
             if size not in probes:
                 network = timer.timed("build", lambda: build(size))
-                if mode == "partial":
-                    # No shared session to escalate on: open a throwaway
-                    # one per size and run the same refinement loop (a
-                    # fresh selector each size — counters accumulate).
-                    session = timer.timed(
-                        "build",
-                        lambda: VerificationSession(
-                            network, parametric_queues=False, **verify_kwargs
-                        ),
-                    )
-                    state["selector"] = state["ranked"] = None
-                    generated_before = state["generated"]
-                    escalations_before = state["escalations"]
-                    histogram_before = dict(state["histogram"])
-                    result = timer.timed(
-                        "query", lambda: session.verify(deadline=deadline)
-                    )
-                    guard_timeout(size, result)
-                    if not result.deadlock_free:
-                        result = guard_timeout(
-                            size, settle_partial(session, result)
-                        )
-                        state["generated"] += generated_before
-                        state["escalations"] += escalations_before
-                        for tier, count in histogram_before.items():
-                            state["histogram"][tier] = (
-                                state["histogram"].get(tier, 0) + count
-                            )
-                else:
-                    result = timer.timed(
-                        "query",
-                        lambda: verify(
-                            network,
-                            use_invariants=state["added"],
-                            deadline=deadline,
-                            **verify_kwargs,
-                        ),
-                    )
-                    guard_timeout(size, result)
-                    if (
-                        mode == "lazy"
-                        and not result.deadlock_free
-                        and not state["added"]
-                    ):
-                        state["added"] = True
-                        state["escalations"] += 1
-                        result = timer.timed(
-                            "query",
-                            lambda: verify(
-                                network,
-                                use_invariants=True,
-                                deadline=deadline,
-                                **verify_kwargs,
-                            ),
-                        )
-                        guard_timeout(size, result)
-                        state["generated"] = len(result.invariants)
+                result = timer.timed(
+                    "query",
+                    lambda: verify(
+                        network,
+                        use_invariants=use_invariants,
+                        deadline=deadline,
+                        **verify_kwargs,
+                    ),
+                )
+                guard_timeout(size, result)
                 probes[size] = result.deadlock_free
                 results[size] = result
             return probes[size]
@@ -564,21 +351,9 @@ def minimal_queue_size(
         # than none).
         timed_out = True
         minimal = None
-    if mode == "eager" and not incremental and results:
+    if use_invariants and not incremental and results:
         # Each from-scratch probe regenerated the full set; report its size.
-        state["generated"] = max(
-            len(result.invariants) for result in results.values()
-        )
-    wins: dict[str, int] = {}
-    races = 0
-    if portfolio_session is not None:
-        wins = dict(portfolio_session.strategy_wins)
-        races = portfolio_session.races
-        state["added"] = True  # racers strengthen from the pending rows
-        state["generated"] = len(
-            portfolio_session._base_snapshot().pending_invariant_rows
-        )
-        portfolio_session.close()
+        generated = max(len(result.invariants) for result in results.values())
     return SizingResult(
         minimal_size=minimal,
         probes=probes,
@@ -586,14 +361,8 @@ def minimal_queue_size(
         build_seconds=timer.build,
         query_seconds=timer.query,
         invariants_mode=mode,
-        invariants_used=(
-            state["generated"] > 0 if mode == "partial" else state["added"]
-        ),
-        lazy_escalations=state["escalations"],
-        invariants_generated=state["generated"],
-        rank_histogram=dict(state["histogram"]),
-        strategy_wins=wins,
-        portfolio_races=races,
+        invariants_used=use_invariants,
+        invariants_generated=generated,
         timed_out=timed_out,
     )
 
@@ -624,13 +393,10 @@ def _pool_sweep(
     add_invariants: bool,
     timer: _SplitTimer,
     verify_kwargs: dict,
-    escalation: tuple[int | None, int | None] | None = None,
     deadline=None,
 ) -> SizingResult:
     """One sharded pass over ``size_list`` (striped shards, warm-start
-    ascending order within each shard).  With ``escalation`` the workers
-    run partial-invariant probes: the pool snapshot carries the ranked
-    rows and every surviving candidate escalates worker-locally."""
+    ascending order within each shard)."""
     from .parallel import ParallelVerificationSession
 
     session = timer.timed(
@@ -640,7 +406,6 @@ def _pool_sweep(
             jobs=jobs,
             backend=backend,
             parametric_queues=True,
-            partial_invariants=escalation is not None,
             **verify_kwargs,
         ),
     )
@@ -654,7 +419,6 @@ def _pool_sweep(
             lambda: session.probe_shards(
                 [[assignments[size] for size in shard] for shard in shard_sizes],
                 want_witness=want_witness,
-                escalation=escalation,
                 deadline=deadline,
             ),
         )
@@ -672,23 +436,12 @@ def _pool_sweep(
                 continue
             part.probes[size] = result.deadlock_free
             part.results[size] = result
-            selection = result.stats.get("invariant_selection")
-            if selection:
-                part.invariants_generated += selection["invariants_generated"]
-                part.lazy_escalations += selection["escalations"]
-                for tier, count in selection["rank_histogram"].items():
-                    part.rank_histogram[tier] = (
-                        part.rank_histogram.get(tier, 0) + count
-                    )
         free = [size for size, ok in part.probes.items() if ok]
         part.minimal_size = min(free) if free else None
         parts.append(part)
     merged = SizingResult.merge(parts)
-    merged.invariants_used = (
-        add_invariants or merged.invariants_generated > 0
-    )
-    if add_invariants:
-        merged.invariants_generated = generated_full
+    merged.invariants_used = add_invariants
+    merged.invariants_generated = generated_full
     return merged
 
 
@@ -700,10 +453,6 @@ def sweep_queue_sizes(
     backend: str = "process",
     want_witness: bool = True,
     invariants: str | None = None,
-    rank_budget: int | None = None,
-    rank_growth: int | None = None,
-    portfolio: bool = False,
-    portfolio_lead: str | None = None,
     deadline=None,
     **verify_kwargs,
 ) -> SizingResult:
@@ -716,26 +465,6 @@ def sweep_queue_sizes(
     the ascending list, in ascending order, on its own rehydrated
     parametric session (warm-start within the shard).  Per-shard
     :class:`SizingResult`\\ s are aggregated with :meth:`SizingResult.merge`.
-
-    ``invariants="lazy"`` batches the strengthening: a first pass probes
-    every size without invariants, then only the sizes whose candidate
-    survived are re-probed with the invariants conjoined (sharded again
-    when ``jobs > 1``) — verdict-identical to eager mode.
-
-    ``invariants="partial"`` ranks the rows instead and escalates
-    CEGAR-style per surviving candidate (``rank_budget`` /
-    ``rank_growth`` shape the schedule); with ``jobs > 1`` the ranked
-    rows travel inside the pool snapshot and each worker escalates
-    locally — also verdict-identical to eager mode.
-
-    ``portfolio=True`` walks the size list sequentially through one
-    persistent :class:`~repro.core.portfolio.PortfolioSession` instead of
-    sharding sizes across workers: the parallelism budget (``jobs``,
-    routed through :func:`~repro.core.portfolio.racer_budget`) goes to
-    concurrent *racers* per probe rather than concurrent probes, and the
-    racers stay warm across the ascending walk.  ``invariants`` is
-    ignored (the roster spans the modes); ``strategy_wins`` records the
-    per-probe winners.
 
     ``build`` must vary only queue capacities (checked), as for the
     incremental ``minimal_queue_size``.  ``verify_kwargs`` forwards
@@ -768,54 +497,15 @@ def sweep_queue_sizes(
         },
     )
 
-    if portfolio:
-        from .portfolio import PortfolioSession
-
-        psession = timer.timed(
-            "build",
-            lambda: PortfolioSession(
-                network=base_network,
-                jobs=jobs,
-                lead=portfolio_lead,
-                max_splits=verify_kwargs.get("max_splits", 100_000),
-            ),
-        )
-        part = SizingResult(minimal_size=None)
-        with psession:
-            for size in size_list:
-                psession.resize_queues(assignments[size])
-                result = timer.timed(
-                    "query", lambda: psession.verify(deadline=deadline)
-                )
-                if not want_witness:
-                    result.witness = None
-                if result.timed_out:
-                    part.results[size] = result
-                    part.timed_out = True
-                    break
-                part.probes[size] = result.deadlock_free
-                part.results[size] = result
-            part.strategy_wins = dict(psession.strategy_wins)
-            part.portfolio_races = psession.races
-            generated = len(
-                psession._base_snapshot().pending_invariant_rows
-            )
-        merged = SizingResult.merge([part])
-        merged.invariants_used = True
-        merged.invariants_generated = generated
-    elif jobs == 1:
+    if jobs == 1:
         session = timer.timed(
             "build",
             lambda: VerificationSession(
                 base_network, parametric_queues=True, **verify_kwargs
             ),
         )
-        added = mode == "eager"
-        escalations = 0
         generated = 0
-        selector = None
-        ranked = None
-        if added:
+        if mode == "eager":
             timer.timed("build", session.add_invariants)
             generated = len(session.invariants)
         part = SizingResult(minimal_size=None)
@@ -831,70 +521,16 @@ def sweep_queue_sizes(
                 part.results[size] = result
                 part.timed_out = True
                 break
-            if not result.deadlock_free:
-                if mode == "partial":
-                    if selector is None:
-
-                        def build_selection():
-                            nonlocal selector, ranked
-                            ranked = session.spec.ranked_invariants()
-                            selector = session.spec.invariant_selector(
-                                rank_budget=rank_budget,
-                                rank_growth=rank_growth,
-                            )
-
-                        timer.timed("build", build_selection)
-                    result = timer.timed(
-                        "query",
-                        lambda: escalate_partial(
-                            session,
-                            selector,
-                            ranked,
-                            result,
-                            lambda: session.verify(deadline=deadline),
-                        ),
-                    )
-                elif mode == "lazy" and not added:
-                    timer.timed("build", session.add_invariants)
-                    added = True
-                    escalations += 1
-                    generated = len(session.invariants)
-                    result = timer.timed(
-                        "query", lambda: session.verify(deadline=deadline)
-                    )
-            if result.timed_out:
-                part.results[size] = result
-                part.timed_out = True
-                break
             if not want_witness:
                 # Match the parallel path's payload shape: the session
                 # always extracts on SAT, so drop it afterwards.
                 result.witness = None
             part.probes[size] = result.deadlock_free
             part.results[size] = result
-        if selector is not None:
-            escalations = selector.escalations
-            generated = selector.generated
-            part.rank_histogram = dict(selector.rank_histogram)
         merged = SizingResult.merge([part])
-        merged.invariants_used = added or generated > 0
-        merged.lazy_escalations = escalations
+        merged.invariants_used = mode == "eager"
         merged.invariants_generated = generated
-    elif mode == "partial":
-        merged = _pool_sweep(
-            base_network,
-            size_list,
-            assignments,
-            jobs,
-            backend,
-            want_witness,
-            False,
-            timer,
-            verify_kwargs,
-            escalation=(rank_budget, rank_growth),
-            deadline=deadline,
-        )
-    elif mode != "lazy":
+    else:
         merged = _pool_sweep(
             base_network,
             size_list,
@@ -907,48 +543,6 @@ def sweep_queue_sizes(
             verify_kwargs,
             deadline=deadline,
         )
-    else:
-        # Batched strengthening across the pool: one unstrengthened pass
-        # over every size, then a second sharded pass (invariants
-        # conjoined) over only the sizes whose candidate survived.
-        first = _pool_sweep(
-            base_network,
-            size_list,
-            assignments,
-            jobs,
-            backend,
-            want_witness,
-            False,
-            timer,
-            verify_kwargs,
-            deadline=deadline,
-        )
-        # A timed-out size is absent from ``probes``; it is not a
-        # survivor — its TIMEOUT result stands as recorded.
-        surviving = [size for size in size_list if not first.probes.get(size, True)]
-        if not surviving:
-            merged = first
-        else:
-            for size in surviving:
-                # Drop the unstrengthened candidate verdicts: the second
-                # pass re-answers them under the stronger encoding.
-                first.probes.pop(size)
-                first.results.pop(size, None)
-            second = _pool_sweep(
-                base_network,
-                surviving,
-                assignments,
-                min(jobs, len(surviving)),
-                backend,
-                want_witness,
-                True,
-                timer,
-                verify_kwargs,
-                deadline=deadline,
-            )
-            merged = SizingResult.merge([first, second])
-            merged.invariants_used = True
-            merged.lazy_escalations = len(surviving)
     merged.invariants_mode = mode
     merged.build_seconds = timer.build
     merged.query_seconds = timer.query

@@ -57,7 +57,7 @@ class Result(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
     # A cooperatively bounded check() ran out of its conflict slice or was
-    # told to stop (portfolio racing); no verdict, every learned clause and
+    # told to stop (an expired Deadline); no verdict, every learned clause and
     # branch-and-bound split is retained for the next call.
     UNKNOWN = "unknown"
 
@@ -342,7 +342,7 @@ class Solver:
         polled inside the search; when either fires the call returns
         :attr:`Result.UNKNOWN` with no model/core, keeping every learned
         clause and split so a later ``check`` resumes the work.  This is
-        the slice primitive the portfolio layer races on.
+        how a :class:`~repro.core.resilience.Deadline` bounds a query.
         """
         self._model = None
         self._core = None

@@ -9,6 +9,7 @@ differentials fast; the spawn-safety tests cross real process boundaries
 under the strictest start method.
 """
 
+import json
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -137,20 +138,8 @@ def test_scenario_spec_key_excludes_scheduling_hints():
     plain = _running_spec()
     hinted = _running_spec(query_jobs=4, label="pretty name")
     assert plain.key() == hinted.key()
-
-
-def test_scenario_spec_key_excludes_selection_schedule():
-    # rank_budget/rank_growth are verdict-invariant (escalation terminates
-    # at the full set), so resumes across schedules must match keys ...
-    plain = _running_spec(invariants="partial")
-    tuned = _running_spec(invariants="partial", rank_budget=32, rank_growth=3)
-    assert plain.key() == tuned.key()
-    # ... while the invariant *mode* stays part of the identity.
-    assert plain.key() != _running_spec(invariants="eager").key()
-    with pytest.raises(ValueError):
-        _running_spec(invariants="partial", rank_budget=0)
-    with pytest.raises(ValueError):
-        _running_spec(invariants="partial", rank_growth=0)
+    # The invariant *mode* stays part of the identity.
+    assert plain.key() != _running_spec(invariants="none").key()
 
 
 def test_scenario_spec_validation():
@@ -160,6 +149,18 @@ def test_scenario_spec_validation():
         ScenarioSpec("running_example", mode="sweep", sizes=())
     with pytest.raises(ValueError):
         ScenarioSpec("running_example", invariants="sometimes")
+    # The retired lazy/partial invariant modes are rejected by name at
+    # every entry point that takes a mode.
+    modes = r"\('eager', 'none'\)"
+    with pytest.raises(ValueError, match=modes):
+        ScenarioSpec("running_example", invariants="lazy")
+    with pytest.raises(ValueError, match=modes):
+        ScenarioSpec("running_example", invariants="partial")
+    build = resolve_builder("running_example")
+    with pytest.raises(ValueError, match=modes):
+        minimal_queue_size(build, invariants="partial")
+    with pytest.raises(ValueError, match=modes):
+        sweep_queue_sizes(build, [1, 2], invariants="lazy")
     with pytest.raises(TypeError):
         ScenarioSpec("running_example", {"fn": print})
     # Mapping values cannot round-trip back to the builder unambiguously.
@@ -208,7 +209,7 @@ def test_scenario_spec_pickle_round_trip():
         {"width": 2, "height": 2, "directory_node": (1, 1)},
         mode="sweep",
         sizes=(1, 2, 3),
-        invariants="lazy",
+        invariants="none",
     )
     clone = pickle.loads(pickle.dumps(spec))
     assert clone == spec
@@ -338,51 +339,6 @@ def test_resume_skips_completed_scenarios(tmp_path):
     assert cold.verdict_bytes() == full.verdict_bytes()
 
 
-def test_resume_warns_on_selection_policy_mismatch(tmp_path):
-    # A completed key recorded under one selection schedule, resumed with
-    # another: the result is reused (verdicts are schedule-invariant) but
-    # the splice must be loud, not silent.
-    checkpoint = tmp_path / "partial.json"
-    grid = Experiment(
-        "policy", [_running_spec(invariants="partial", rank_budget=8)]
-    )
-    grid.run(jobs=1, save_path=checkpoint)
-    retuned = Experiment(
-        "policy", [_running_spec(invariants="partial", rank_budget=32)]
-    )
-    with pytest.warns(UserWarning, match="selection policy"):
-        resumed = retuned.run(jobs=1, resume=checkpoint)
-    assert resumed.computed == 0
-    assert resumed.reused == 1
-    # Same schedule: silent reuse.
-    import warnings as warnings_module
-
-    with warnings_module.catch_warnings():
-        warnings_module.simplefilter("error")
-        again = grid.run(jobs=1, resume=checkpoint)
-    assert again.computed == 0
-
-
-def test_partial_scenario_records_selection_policy_and_counters():
-    grid = Experiment(
-        "partial-record",
-        [_running_spec(invariants="partial", rank_budget=4, rank_growth=2)],
-    )
-    scenario = grid.run(jobs=1).scenarios[0]
-    assert scenario.invariants_mode == "partial"
-    assert scenario.rank_budget == 4
-    assert scenario.rank_growth == 2
-    assert scenario.invariants_used
-    assert scenario.invariants_generated >= 1
-    assert sum(scenario.rank_histogram.values()) == scenario.invariants_generated
-    eager = Experiment(
-        "eager-record", [_running_spec(invariants="eager")]
-    ).run(jobs=1).scenarios[0]
-    assert scenario.probes == eager.probes
-    assert scenario.invariants_generated < eager.invariants_generated
-    assert eager.rank_budget is None  # policy recorded only in partial mode
-
-
 def test_resume_from_missing_checkpoint_starts_fresh(tmp_path):
     # The documented `--save X --resume X` idiom: a first run that died
     # before its first checkpoint leaves no file, which must mean "empty
@@ -445,7 +401,7 @@ def test_query_jobs_auto_splits_the_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Timing split and the lazy-invariants ablation
+# Timing split and the invariants ablation
 # ---------------------------------------------------------------------------
 
 
@@ -459,50 +415,6 @@ def test_sizing_reports_build_query_split():
     assert sizing.invariants_used
 
 
-def test_lazy_sweep_matches_eager_sequential_and_sharded():
-    def build(size):
-        return running_example(queue_size=size).network
-
-    eager = sweep_queue_sizes(build, range(1, 4), jobs=1)
-    for jobs in (1, 2):
-        lazy = sweep_queue_sizes(
-            build, range(1, 4), jobs=jobs, backend="thread", invariants="lazy"
-        )
-        assert lazy.probes == eager.probes, jobs
-        assert lazy.minimal_size == eager.minimal_size
-        assert lazy.invariants_mode == "lazy"
-
-
-def test_lazy_never_generates_invariants_when_block_idle_suffices():
-    # producer_consumer verifies under plain block/idle at every size, so
-    # the lazy walk must never pay for invariant generation.
-    sizing = minimal_queue_size(
-        lambda size: resolve_builder("producer_consumer")(queue_size=size),
-        invariants="lazy",
-    )
-    assert sizing.minimal_size == 1
-    assert not sizing.invariants_used
-    assert sizing.lazy_escalations == 0
-
-
-def test_lazy_mode_recorded_per_scenario():
-    grid = Experiment(
-        "ablation",
-        [
-            _running_spec(invariants="lazy"),
-            _running_spec(invariants="eager", sizes=(1, 2)),
-        ],
-    )
-    by_mode = {
-        scenario.invariants_mode: scenario
-        for scenario in grid.run(jobs=1).scenarios
-    }
-    assert by_mode["lazy"].lazy_escalations >= 1
-    assert by_mode["lazy"].invariants_used
-    assert by_mode["eager"].lazy_escalations == 0
-    assert by_mode["lazy"].probes == by_mode["eager"].probes
-
-
 def test_none_mode_reports_plain_block_idle():
     sizing = sweep_queue_sizes(
         lambda size: running_example(queue_size=size).network,
@@ -514,86 +426,49 @@ def test_none_mode_reports_plain_block_idle():
 
 
 # ---------------------------------------------------------------------------
-# Portfolio scheduling: win records, resumable defaults, leader learning
+# Checkpoints written before the lazy/partial modes and the portfolio went
 # ---------------------------------------------------------------------------
 
-
-def test_scenario_spec_key_excludes_portfolio_flag():
-    # Racing is verdict-invariant, so a portfolio run must resume from
-    # (and be resumable by) a sequential run of the same grid point.
-    assert _running_spec().key() == _running_spec(portfolio=True).key()
-
-
-def test_portfolio_scenario_records_wins_and_round_trips():
-    plain = run_scenario(_running_spec())
-    raced = run_scenario(_running_spec(portfolio=True), query_jobs=2)
-    assert raced.probes == plain.probes
-    assert raced.portfolio_races == len(raced.probes)
-    assert sum(raced.strategy_wins.values()) == raced.portfolio_races
-    clone = ScenarioResult.from_json(raced.to_json())
-    assert clone == raced
-    assert clone.strategy_wins == raced.strategy_wins
-    assert clone.portfolio_races == raced.portfolio_races
+RETIRED_FIELDS = {
+    "lazy_escalations": 0,
+    "rank_histogram": {},
+    "rank_budget": None,
+    "rank_growth": None,
+    "strategy_wins": {"eager": 2},
+    "portfolio_races": 2,
+}
 
 
-def test_pre_portfolio_checkpoints_load_with_default_win_fields():
-    # Checkpoints written before the portfolio fields existed carry
-    # neither key; loading them must not crash and must report no wins.
-    payload = run_scenario(_running_spec()).to_json()
-    del payload["strategy_wins"]
-    del payload["portfolio_races"]
-    legacy = ScenarioResult.from_json(payload)
-    assert legacy.strategy_wins == {}
-    assert legacy.portfolio_races == 0
-    wrapped = ExperimentResult(name="old", scenarios=[legacy])
-    clone = ExperimentResult.from_json(wrapped.to_json())
-    assert clone.strategy_wins() == {}
-    assert clone.portfolio_races == 0
-
-
-def test_run_portfolio_matches_sequential_and_aggregates_wins():
-    grid = Experiment("race", [_running_spec(), _running_spec(sizes=(2, 3))])
-    sequential = grid.run(jobs=1)
-    raced = grid.run(jobs=1, portfolio=True, query_jobs=2)
-    assert raced.verdict_bytes() == sequential.verdict_bytes()
-    assert raced.portfolio_races == sum(
-        len(s.probes) for s in raced.scenarios
+def test_parent_format_checkpoints_load_and_resume(tmp_path):
+    grid = Experiment("old", [_running_spec(), _running_spec(sizes=(2, 3))])
+    reference = grid.run(jobs=1)
+    eager_entry = {**reference.scenarios[0].to_json(), **RETIRED_FIELDS}
+    # A lazy-mode entry: its key names a mode no spec can produce any
+    # more, so it is loaded but never reused.
+    lazy_entry = {**reference.scenarios[1].to_json(), **RETIRED_FIELDS}
+    lazy_key = json.loads(lazy_entry["key"])
+    lazy_key["invariants"] = "lazy"
+    lazy_entry["key"] = json.dumps(
+        lazy_key, sort_keys=True, separators=(",", ":")
     )
-    assert sum(raced.strategy_wins().values()) == raced.portfolio_races
-    # The run-level override beats the specs' own (unset) flag; spec-level
-    # opt-in works without the override.
-    spec_raced = Experiment(
-        "spec-race", [_running_spec(portfolio=True)]
-    ).run(jobs=1, query_jobs=2)
-    assert spec_raced.portfolio_races > 0
-
-
-def test_resume_seeds_the_learned_leader(tmp_path):
-    # A resumed portfolio run leads each scenario family with the
-    # strategy its checkpointed wins favour — and reuses the rest.
-    checkpoint = tmp_path / "race.json"
-    grid = Experiment("lead", [_running_spec(), _running_spec(sizes=(2, 3))])
-    first = Experiment("lead", grid.scenarios[:1]).run(
-        jobs=1, portfolio=True, query_jobs=2, save_path=checkpoint
+    lazy_entry.update(invariants_mode="lazy", rank_budget=8, rank_growth=2)
+    checkpoint = tmp_path / "parent.json"
+    checkpoint.write_text(
+        json.dumps(
+            {
+                "name": "old",
+                "computed": 2,
+                "reused": 0,
+                "scenarios": [eager_entry, lazy_entry],
+            }
+        )
     )
-    leader = max(
-        sorted(first.strategy_wins()),
-        key=lambda name: first.strategy_wins()[name],
-    )
-    seen = []
-    resumed = grid.run(
-        jobs=1,
-        portfolio=True,
-        query_jobs=2,
-        resume=checkpoint,
-        progress=seen.append,
-    )
+    loaded = ExperimentResult.load(checkpoint)
+    assert loaded.scenarios[0] == reference.scenarios[0]
+    assert loaded.scenarios[1].invariants_mode == "lazy"
+    resumed = grid.run(jobs=1, resume=checkpoint)
     assert resumed.reused == 1 and resumed.computed == 1
-    # The newly computed scenario raced the learned leader first: with an
-    # inline backend the leader takes the first slice, so a one-sided
-    # family keeps crediting the same strategy.
-    assert seen[0].strategy_wins.get(leader, 0) > 0
-    assert resumed.verdict_bytes() == grid.run(jobs=1).verdict_bytes()
+    assert resumed.verdict_bytes() == reference.verdict_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +485,7 @@ grids = st.lists(
 
 @given(
     size_sets=grids,
-    invariants=st.sampled_from(["eager", "lazy", "partial", "none"]),
+    invariants=st.sampled_from(["eager", "none"]),
 )
 @settings(max_examples=10, deadline=None)
 def test_sharded_grid_equals_sequential_grid(size_sets, invariants):

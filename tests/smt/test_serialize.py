@@ -184,7 +184,7 @@ CANONICAL_STAT_KEYS = {
     "pivots",
     # Bound-axiom clauses handed to the CDCL core by this check.
     "axioms",
-    # Cooperative-slicing counters (portfolio racing): covered by the same
+    # Cooperative-slicing counters (Deadline budgets): covered by the same
     # zeroing contract — an early-UNSAT check() must report zeros for them.
     "conflict_limit_hits",
     "cancelled",

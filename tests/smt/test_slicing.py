@@ -1,11 +1,11 @@
 """Cooperative slice bounds: ``conflict_limit`` / ``should_stop``.
 
-Portfolio racing runs every racer in bounded slices — the solver must
-return UNKNOWN at a slice boundary with *all* learning retained, answer
-the same query correctly when re-sliced, and stop within one propagate
-cycle of a cancellation callback firing.  These are the unit-level
-contracts under ``core/portfolio.py``; the session-level differentials
-live in ``tests/core/test_portfolio.py``.
+A ``Deadline`` bounds every query it covers with these slices — the
+solver must return UNKNOWN at a slice boundary with *all* learning
+retained, answer the same query correctly when re-sliced, and stop
+within one propagate cycle of a cancellation callback firing.  These are
+the unit-level contracts under ``core/resilience.py``'s deadlines; the
+session-level checks live in ``tests/core/test_resilience.py``.
 """
 
 import pytest
